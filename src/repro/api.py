@@ -8,7 +8,6 @@ use.  A ``Deployment`` pins the model/hardware/parallelism triple; a
 
 from __future__ import annotations
 
-import copy
 import os
 from dataclasses import dataclass, field, replace
 
@@ -329,8 +328,19 @@ def build_engine(
 
 
 def clone_requests(requests: list[Request]) -> list[Request]:
-    """Deep-copy a trace so runs never share mutable request state."""
-    return [copy.deepcopy(r) for r in requests]
+    """Copy a trace so runs never share mutable request state.
+
+    Field-wise: every ``Request`` field is an immutable value except
+    ``token_times``, which each clone gets as a fresh list.
+    """
+    clones = []
+    for request in requests:
+        clone = object.__new__(type(request))
+        state = dict(request.__dict__)
+        state["token_times"] = list(request.token_times)
+        clone.__dict__ = state
+        clones.append(clone)
+    return clones
 
 
 def simulate(

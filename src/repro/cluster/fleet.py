@@ -30,6 +30,7 @@ path reproduces the old static-partition results bit for bit, and a
 from __future__ import annotations
 
 import enum
+import math
 import random
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
@@ -50,7 +51,7 @@ from repro.metrics.stats import percentile
 from repro.metrics.summary import RunMetrics, summarize
 from repro.memory.prefix import PrefixCacheStats
 from repro.metrics.timeline import IterationRecord
-from repro.types import Request, RequestPhase
+from repro.types import Request, RequestPhase, stable_request_key
 
 if TYPE_CHECKING:
     from repro.api import Deployment, ServingConfig
@@ -573,8 +574,66 @@ class FleetResult:
 # ----------------------------------------------------------------------
 # One replica slot (survives crash/restore cycles)
 # ----------------------------------------------------------------------
+class _SlotBoard:
+    """The fleet's kept-current view of every replica slot.
+
+    Slots write here through :meth:`_ReplicaSlot.invalidate`, the one
+    point every fleet-visible change passes through: the slot's next
+    event time is refreshed at once (one engine peek), its snapshot is
+    queued and rebuilt at the next routing decision.  Between changes a
+    routing decision reads ``snapshots`` as is, so its cost does not
+    grow with the number of replicas.
+    """
+
+    def __init__(self, num_replicas: int) -> None:
+        # Next internal event time per slot; inf while idle or down.
+        self.times = [math.inf] * num_replicas
+        self.snapshots = [
+            _down_snapshot(index) for index in range(num_replicas)
+        ]
+        # Slots whose snapshot is out of date, in invalidation order.
+        self.stale: list[_ReplicaSlot] = []
+        # Gauges over ``snapshots``, kept by ``refresh``.
+        self.num_alive = 0
+        self.num_draining = 0
+
+    def refresh(self, now: float) -> list[ReplicaSnapshot]:
+        """Rebuild the queued snapshots; returns the current list."""
+        snapshots = self.snapshots
+        for slot in self.stale:
+            old = snapshots[slot.index]
+            new = slot.snapshot(now)
+            slot.stale = False
+            self.num_alive += new.alive - old.alive
+            self.num_draining += new.draining - old.draining
+            snapshots[slot.index] = new
+        self.stale.clear()
+        return snapshots
+
+
+def _down_snapshot(index: int) -> ReplicaSnapshot:
+    return ReplicaSnapshot(
+        index=index,
+        alive=False,
+        queue_depth=0,
+        num_running=0,
+        num_pending=0,
+        outstanding_tokens=0,
+        kv_occupancy=0.0,
+        recent_p99_tbt=None,
+        draining=False,
+    )
+
+
 class _ReplicaSlot:
-    """A replica index that engines come and go from across faults."""
+    """A replica index that engines come and go from across faults.
+
+    Every change the fleet can see — an engine step, a delivery, a
+    kick, crash/restore/recycle, degrade/recover, a budget override,
+    the drain flag — goes through a method here that ends in
+    :meth:`invalidate`, so the fleet's board never holds a stale
+    snapshot or event time.
+    """
 
     def __init__(
         self,
@@ -583,8 +642,11 @@ class _ReplicaSlot:
         config: "ServingConfig",
         exec_model: "ExecutionModel",
         tbt_window: int,
+        board: _SlotBoard,
     ) -> None:
         self.index = index
+        self._board = board
+        self.stale = False
         self._deployment = deployment
         self._config = config
         self._exec_model = exec_model
@@ -609,8 +671,9 @@ class _ReplicaSlot:
         # dominated fleet wall-clock at high arrival rates.
         self._p99_cache: float | None = None
         self._p99_dirty = False
-        # Health-monitor drain flag: the router stops new work, the
-        # in-flight requests finish, then the monitor restarts the slot.
+        # Health-monitor drain flag (set by ``start_drain``): the router
+        # stops new work, the in-flight requests finish, then the
+        # monitor restarts the slot.
         self.draining = False
         # Active degraded-mode fault state, persisted across reboots so
         # a restart inside a slowdown/capacity window stays degraded.
@@ -620,6 +683,7 @@ class _ReplicaSlot:
         # Brownout budget clamp, re-applied to every new incarnation.
         self.budget_override: int | None = None
         self._boot()
+        self.invalidate()
 
     def _boot(self) -> None:
         from repro.api import build_engine
@@ -627,7 +691,7 @@ class _ReplicaSlot:
         self.engine = build_engine(
             self._deployment, self._config, exec_model=self._exec_model
         )
-        self.engine.token_observer = self._observe_token
+        self.engine.token_observer = self._observe_tbts
         self.num_stages = self.engine.num_stages
         self.num_incarnations += 1
         if self._perf_scale != 1.0:
@@ -639,10 +703,11 @@ class _ReplicaSlot:
         if self.budget_override is not None:
             self.engine.scheduler.override_token_budget(self.budget_override)
 
-    def _observe_token(self, request: Request, tbt: float, now: float) -> None:
-        self.recent_tbts.append(tbt)
-        if len(self.recent_tbts) > self._tbt_window:
-            del self.recent_tbts[: -self._tbt_window]
+    def _observe_tbts(self, tbts: list[float]) -> None:
+        recent = self.recent_tbts
+        recent.extend(tbts)
+        if len(recent) > self._tbt_window:
+            del recent[: -self._tbt_window]
         self._p99_dirty = True
 
     def _recent_p99(self) -> float | None:
@@ -653,25 +718,38 @@ class _ReplicaSlot:
             self._p99_dirty = False
         return self._p99_cache
 
+    # -- the board -----------------------------------------------------
+    def invalidate(self) -> None:
+        """The one invalidation point: fleet-visible state changed."""
+        board = self._board
+        time = self.engine.next_event_time() if self.alive else None
+        board.times[self.index] = math.inf if time is None else time
+        if not self.stale:
+            self.stale = True
+            board.stale.append(self)
+
     # -- event-loop interface -----------------------------------------
-    def next_event_time(self) -> float | None:
-        if not self.alive:
-            return None
-        return self.engine.next_event_time()
+    def step(self) -> float:
+        now = self.engine.step()
+        self.invalidate()
+        return now
+
+    def deliver(self, request: Request, now: float) -> None:
+        self.engine.deliver(request, now)
+        self.invalidate()
+
+    def kick(self, now: float) -> None:
+        self.engine.kick(now)
+        self.invalidate()
+
+    def start_drain(self) -> None:
+        self.draining = True
+        self.invalidate()
 
     def snapshot(self, now: float) -> ReplicaSnapshot:
+        """Build this slot's snapshot from live engine state."""
         if not self.alive:
-            return ReplicaSnapshot(
-                index=self.index,
-                alive=False,
-                queue_depth=0,
-                num_running=0,
-                num_pending=0,
-                outstanding_tokens=0,
-                kv_occupancy=0.0,
-                recent_p99_tbt=None,
-                draining=False,
-            )
+            return _down_snapshot(self.index)
         # The engines expose these as gauges (the object engine scans,
         # the vectorized engine keeps counters — same integers) so a
         # router snapshot never forces a full state synchronization.
@@ -723,6 +801,7 @@ class _ReplicaSlot:
         self._capacity_lost = 0
         self.recent_tbts.clear()
         self._p99_dirty = True
+        self.invalidate()
         for request in failed:
             if request.phase is not RequestPhase.QUEUED or request.context_len > 0:
                 request.restart_after_preemption()
@@ -732,6 +811,7 @@ class _ReplicaSlot:
         assert not self.alive
         self.alive = True
         self._boot()
+        self.invalidate()
 
     def recycle(self, now: float) -> list[Request]:
         """Drain-restart: crash plus immediate reboot.
@@ -748,11 +828,13 @@ class _ReplicaSlot:
         self._perf_scale = factor
         if self.engine is not None:
             self.engine.perf_scale = factor
+        self.invalidate()
 
     def restore_speed(self) -> None:
         self._perf_scale = 1.0
         if self.engine is not None:
             self.engine.perf_scale = 1.0
+        self.invalidate()
 
     def lose_capacity(self, fraction: float) -> None:
         self._capacity_fraction = fraction
@@ -760,17 +842,20 @@ class _ReplicaSlot:
             self._capacity_lost = self.engine.scheduler.memory.shed_capacity(
                 fraction
             )
+        self.invalidate()
 
     def restore_capacity(self) -> None:
         self._capacity_fraction = 0.0
         if self.engine is not None and self._capacity_lost:
             self.engine.scheduler.memory.restore_capacity(self._capacity_lost)
         self._capacity_lost = 0
+        self.invalidate()
 
     def apply_budget_override(self, budget: int | None) -> None:
         self.budget_override = budget
         if self.engine is not None:
             self.engine.scheduler.override_token_budget(budget)
+        self.invalidate()
 
     # -- end of run ----------------------------------------------------
     def finalize(
@@ -852,8 +937,11 @@ class FleetSimulator:
                 f"router is configured for {self.router.num_replicas} replicas, "
                 f"cluster has {fleet.num_replicas}"
             )
+        self._board = _SlotBoard(fleet.num_replicas)
         self.replicas = [
-            _ReplicaSlot(i, deployment, config, self.exec_model, fleet.tbt_window)
+            _ReplicaSlot(
+                i, deployment, config, self.exec_model, fleet.tbt_window, self._board
+            )
             for i in range(fleet.num_replicas)
         ]
         self.events: list[FleetEvent] = []
@@ -879,11 +967,8 @@ class FleetSimulator:
             if cfg is not None
         ]
         self._tick_interval = min(intervals) if intervals else None
-        # Per-slot next-event-time cache: every loop iteration mutates
-        # at most one slot (a step, a delivery, or a fault transition),
-        # so polling all N engines per event is N-1 parts waste.
-        self._slot_times: list[float | None] = [None] * fleet.num_replicas
-        self._slot_dirty: list[bool] = [True] * fleet.num_replicas
+        # request_id -> position in the run's trace (retry jitter key).
+        self._trace_position: dict[int, int] = {}
 
     # -- main loop -----------------------------------------------------
     def run(
@@ -894,6 +979,7 @@ class FleetSimulator:
         if not requests:
             raise ValueError("simulate_fleet needs at least one request")
         cloned = clone_requests(requests)
+        self._trace_position = {r.request_id: i for i, r in enumerate(cloned)}
         queue = EventQueue()
         # Fault events enqueue first so a crash at the exact instant of
         # an arrival is observed by that arrival's routing decision.
@@ -907,17 +993,17 @@ class FleetSimulator:
             queue.push(self._tick_interval, _CONTROL_TICK, None)
 
         now = 0.0
+        times = self._board.times
         while True:
             global_time = queue.peek_time()
-            replica_time, replica_idx = self._next_replica_event()
-            if global_time is None and replica_time is None:
+            # The earliest slot event; ties go to the lowest index.
+            replica_time = min(times)
+            if global_time is None and replica_time == math.inf:
                 break
             # Global events win ties: in the single-engine loop every
             # arrival is pushed before any stage event, so arrivals pop
             # first at equal timestamps — the fleet preserves that.
-            take_global = replica_time is None or (
-                global_time is not None and global_time <= replica_time
-            )
+            take_global = global_time is not None and global_time <= replica_time
             chosen_time = global_time if take_global else replica_time
             if max_time is not None and chosen_time > max_time:
                 now = chosen_time
@@ -926,9 +1012,10 @@ class FleetSimulator:
                 now, kind, payload = queue.pop()
                 self._handle(kind, payload, now, queue)
             else:
-                now = self.replicas[replica_idx].engine.step()
-                self._slot_dirty[replica_idx] = True
+                now = self.replicas[times.index(replica_time)].step()
 
+        # Trace timestamps may be numpy scalars; the API returns floats.
+        now = float(now)
         cache_stats = getattr(self.exec_model, "cache_stats", None)
         result = FleetResult(
             requests=cloned,
@@ -952,20 +1039,6 @@ class FleetSimulator:
                 f"(first stuck: request {lost[0].request_id})"
             )
         return result
-
-    def _next_replica_event(self) -> tuple[float | None, int]:
-        times = self._slot_times
-        dirty = self._slot_dirty
-        best_time: float | None = None
-        best_idx = -1
-        for i, slot in enumerate(self.replicas):
-            if dirty[i]:
-                times[i] = slot.next_event_time()
-                dirty[i] = False
-            t = times[i]
-            if t is not None and (best_time is None or t < best_time):
-                best_time, best_idx = t, i
-        return best_time, best_idx
 
     # -- event handlers ------------------------------------------------
     def _handle(self, kind: str, payload: Any, now: float, queue: EventQueue) -> None:
@@ -992,7 +1065,6 @@ class FleetSimulator:
         if not slot.alive:
             return
         failed = slot.crash(now)
-        self._slot_dirty[index] = True
         self.events.append(
             FleetEvent(time=now, kind="fault_down", replica=index, reason=f"{len(failed)} failed over")
         )
@@ -1015,7 +1087,6 @@ class FleetSimulator:
         if slot.alive:
             return
         slot.restore(now)
-        self._slot_dirty[index] = True
         self.events.append(FleetEvent(time=now, kind="fault_up", replica=index))
 
     def _degrade_replica(self, fault: ReplicaFault, now: float) -> None:
@@ -1024,7 +1095,6 @@ class FleetSimulator:
             slot.slow_down(fault.severity)
         else:
             slot.lose_capacity(fault.severity)
-        self._slot_dirty[fault.replica] = True
         self.events.append(
             FleetEvent(
                 time=now,
@@ -1044,8 +1114,7 @@ class FleetSimulator:
                 # The shrunken pool may have stalled the replica with
                 # waiting-but-unadmittable work and no internal events;
                 # restoring capacity must nudge the scheduler.
-                slot.engine.kick(now)
-        self._slot_dirty[fault.replica] = True
+                slot.kick(now)
         self.events.append(
             FleetEvent(
                 time=now,
@@ -1071,8 +1140,7 @@ class FleetSimulator:
 
     def _run_health(self, now: float) -> None:
         for index, ratio in self.health.flag_stragglers(self.replicas):
-            slot = self.replicas[index]
-            slot.draining = True
+            self.replicas[index].start_drain()
             self.events.append(
                 FleetEvent(
                     time=now,
@@ -1087,9 +1155,7 @@ class FleetSimulator:
                 and slot.alive
                 and slot.engine.num_pending() == 0
             ):
-                slot.draining = False
                 slot.recycle(now)
-                self._slot_dirty[slot.index] = True
                 self.events.append(
                     FleetEvent(time=now, kind="health_restart", replica=slot.index)
                 )
@@ -1101,8 +1167,6 @@ class FleetSimulator:
         budget = self.brownout.active_budget()
         for slot in self.replicas:
             slot.apply_budget_override(budget)
-            if slot.alive:
-                self._slot_dirty[slot.index] = True
         self.events.append(
             FleetEvent(
                 time=now,
@@ -1123,18 +1187,17 @@ class FleetSimulator:
             if veto is not None:
                 self._shed(request, attempt, now, None, veto)
                 return
-        snapshots = [slot.snapshot(now) for slot in self.replicas]
-        if any(s.draining for s in snapshots) and any(
-            s.alive and not s.draining for s in snapshots
-        ):
+        board = self._board
+        # A copy: the kept list must not change under (or by) the router.
+        snapshots = list(board.refresh(now))
+        if board.num_draining and board.num_alive > board.num_draining:
             # Draining replicas take no new work while at least one
             # routable replica remains: state-blind routers see them as
             # down and the dead-pick failover below walks past them.
             snapshots = [
                 replace(s, alive=False) if s.draining else s for s in snapshots
             ]
-        alive = [s for s in snapshots if s.alive]
-        if not alive:
+        elif not board.num_alive:
             self._reject(request, attempt, now, queue, None, "no_alive_replica")
             return
         choice = self.router.route(request, now, snapshots)
@@ -1156,7 +1219,9 @@ class FleetSimulator:
         ):
             policy = self.fleet.admission
             if policy is AdmissionPolicy.SPILL:
-                open_replicas = [s for s in alive if s.queue_depth < depth_limit]
+                open_replicas = [
+                    s for s in snapshots if s.alive and s.queue_depth < depth_limit
+                ]
                 if not open_replicas:
                     self._reject(request, attempt, now, queue, choice, "fleet_saturated")
                     return
@@ -1179,8 +1244,7 @@ class FleetSimulator:
         if hook is not None and not hook(snapshots[choice], request, now):
             self._reject(request, attempt, now, queue, choice, "policy_deferred")
             return
-        self.replicas[choice].engine.deliver(request, now)
-        self._slot_dirty[choice] = True
+        self.replicas[choice].deliver(request, now)
         self.assignments.setdefault(request.request_id, choice)
         self.events.append(
             FleetEvent(
@@ -1213,8 +1277,13 @@ class FleetSimulator:
             # Stateless seeded jitter keyed by (seed, request, attempt):
             # concurrent rejects de-synchronize without consuming shared
             # RNG state, which would couple determinism to reject order.
+            # The request is named by its content and trace position,
+            # never its process-global id, so a run does not depend on
+            # what the process ran before it.
+            position = self._trace_position[request.request_id]
             draw = random.Random(
-                f"{fleet.retry_seed}:{request.request_id}:{attempt}"
+                f"{fleet.retry_seed}:{stable_request_key(request)}:"
+                f"{position}:{attempt}"
             ).random()
             backoff *= 1.0 + fleet.retry_jitter * draw
         retry_at = now + backoff

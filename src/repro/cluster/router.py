@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
+from operator import attrgetter
 
 from repro.types import Request
 
@@ -119,9 +120,12 @@ class FleetRouter(abc.ABC):
         """Replica index for this request; should pick an alive replica."""
 
 
+_LOAD_KEY = attrgetter("outstanding_tokens", "queue_depth", "index")
+
+
 def _least_loaded(pool: list[ReplicaSnapshot]) -> int:
     """Lowest outstanding work; queue depth then index break ties."""
-    return min(pool, key=lambda s: (s.outstanding_tokens, s.queue_depth, s.index)).index
+    return min(pool, key=_LOAD_KEY).index
 
 
 class LeastOutstandingTokensRouter(FleetRouter):

@@ -35,10 +35,11 @@ _STAGE_ENQUEUE = "stage_enqueue"
 # inject (e.g. the next round of a conversation).
 FollowupFn = Callable[[Request, float], list[Request]]
 
-# Called once per emitted decode token with (request, tbt_sample, now);
-# lets an external driver (the fleet simulator) observe live per-replica
-# TBT without re-scanning request state.
-TokenObserver = Callable[[Request, float, float], None]
+# Called once per committed iteration that emitted decode tokens, with
+# that batch's TBT samples in batch order; lets an external driver (the
+# fleet simulator) observe live per-replica TBT without re-scanning
+# request state.
+TokenObserver = Callable[[list[float]], None]
 
 
 @dataclass(frozen=True)
@@ -184,7 +185,7 @@ class ReplicaEngine:
                 "unfinished requests — scheduler/memory deadlock "
                 f"(first stuck: request {unfinished[0].request_id})"
             )
-        return self.result(makespan=now)
+        return self.result(makespan=float(now))
 
     # ------------------------------------------------------------------
     # Stepped interface (driven by the fleet simulator)
@@ -339,13 +340,16 @@ class ReplicaEngine:
             self._inflight -= 1
             finished = self.scheduler.on_batch_complete(batch, now)
             if self.token_observer is not None:
+                # A token emitted by *this* batch carries timestamp
+                # ``now``; the gap to its predecessor is one TBT sample
+                # (the first token has no predecessor).
+                tbts = []
                 for item in batch.items:
                     times = item.request.token_times
-                    # A token emitted by *this* batch carries timestamp
-                    # ``now``; the gap to its predecessor is one TBT
-                    # sample (the first token has no predecessor).
                     if len(times) >= 2 and times[-1] == now:
-                        self.token_observer(item.request, now - times[-2], now)
+                        tbts.append(now - times[-2])
+                if tbts:
+                    self.token_observer(tbts)
             if self._followup_fn is not None:
                 for request in finished:
                     for followup in self._followup_fn(request, now):

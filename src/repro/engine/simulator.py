@@ -9,16 +9,18 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, NamedTuple
 
 
-@dataclass(order=True)
-class _Entry:
+class _Entry(NamedTuple):
+    """Layout of a heap entry (pushed as a plain tuple, which compares
+    in C).  ``seq`` is unique, so the order is (time, seq) and never
+    reaches ``kind`` or ``payload``."""
+
     time: float
     seq: int
-    kind: str = field(compare=False)
-    payload: Any = field(compare=False)
+    kind: str
+    payload: Any
 
 
 class EventQueue:
@@ -37,18 +39,18 @@ class EventQueue:
             raise ValueError(f"cannot schedule event at non-finite time {time!r}")
         if time < self.now - 1e-9:
             raise ValueError(f"cannot schedule event at {time} before now={self.now}")
-        heapq.heappush(self._heap, _Entry(time, next(self._counter), kind, payload))
+        heapq.heappush(self._heap, (time, next(self._counter), kind, payload))
 
     def peek_time(self) -> float | None:
         """The timestamp of the next event, or ``None`` when empty."""
         if not self._heap:
             return None
-        return self._check_finite(self._heap[0].time)
+        return self._check_finite(self._heap[0][0])
 
     def pop(self) -> tuple[float, str, Any]:
-        entry = heapq.heappop(self._heap)
-        self.now = self._check_finite(entry.time)
-        return entry.time, entry.kind, entry.payload
+        time, _, kind, payload = heapq.heappop(self._heap)
+        self.now = self._check_finite(time)
+        return time, kind, payload
 
     def _check_finite(self, time: float) -> float:
         # Guarded on pop/peek as well as push: an entry that slipped in

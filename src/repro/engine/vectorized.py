@@ -247,7 +247,7 @@ class VectorizedReplicaEngine:
                     "unfinished requests — scheduler/memory deadlock "
                     f"(first stuck: request {first_stuck.request_id})"
                 )
-        return self.result(makespan=now)
+        return self.result(makespan=float(now))
 
     # ------------------------------------------------------------------
     # Stepped interface (driven by the fleet simulator)
@@ -510,11 +510,7 @@ class VectorizedReplicaEngine:
             # the object engine's walk over batch.items.
             sampled = decode_rows[A.num_emitted[decode_rows] >= 2]
             if len(sampled):
-                observer = self.token_observer
-                requests = A.requests
-                prevs = A.prev_emit[sampled].tolist()
-                for row, prev in zip(sampled.tolist(), prevs):
-                    observer(requests[row], now - prev, now)
+                self.token_observer((now - A.prev_emit[sampled]).tolist())
         if self._followup_fn is not None:
             for row in finished:
                 self._sync_row(row)

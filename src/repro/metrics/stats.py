@@ -2,16 +2,49 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+
+# Up to this many values a sorted list beats np.percentile's fixed
+# per-call cost (about 70 µs), which the fleet pays on every refreshed
+# TBT window.
+_SMALL_SAMPLE = 256
 
 
 def percentile(values: list[float], q: float) -> float:
-    """The ``q``-th percentile (0-100) of a non-empty sample."""
+    """The ``q``-th percentile (0-100) of a non-empty sample.
+
+    Equal, bit for bit, to ``np.percentile`` with its default "linear"
+    method: small samples replay its index, gamma and lerp arithmetic
+    in plain Python.
+    """
     if not values:
         raise ValueError("cannot take a percentile of an empty sample")
     if not 0.0 <= q <= 100.0:
         raise ValueError(f"percentile must be in [0, 100], got {q}")
-    return float(np.percentile(values, q))
+    n = len(values)
+    if n > _SMALL_SAMPLE:
+        return float(np.percentile(values, q))
+    ordered = sorted(values)
+    total = sum(ordered)
+    if total != total:  # a NaN: numpy's NaN handling decides
+        return float(np.percentile(values, q))
+    virtual = (n - 1) * (q / 100)
+    if virtual >= n - 1:
+        # numpy reads both neighbours at index -1 and measures gamma
+        # from there.
+        lo = hi = n - 1
+        gamma = virtual + 1
+    else:
+        lo = math.floor(virtual)
+        hi = lo + 1
+        gamma = virtual - lo
+    a, b = ordered[lo], ordered[hi]
+    diff = b - a
+    if gamma >= 0.5:
+        return float(b - diff * (1 - gamma))
+    return float(a + diff * gamma)
 
 
 def median(values: list[float]) -> float:

@@ -151,14 +151,14 @@ class ModelConfig:
 
     def _attention_pairs(self, num_tokens: int, past_len: int) -> int:
         """Number of (query, key) interactions in a causal segment."""
+        # Query i attends min(past_len + i + 1, window) keys: the first
+        # k queries are unclipped (an arithmetic series), the rest see
+        # exactly ``window`` keys each.
         window = self.sliding_window
-        total = 0
-        for i in range(num_tokens):
-            span = past_len + i + 1
-            if window is not None:
-                span = min(span, window)
-            total += span
-        return total
+        if window is None:
+            return num_tokens * past_len + num_tokens * (num_tokens + 1) // 2
+        k = max(0, min(num_tokens, window - past_len))
+        return k * past_len + k * (k + 1) // 2 + (num_tokens - k) * window
 
     def attention_kv_read_bytes(self, num_tokens: int, past_len: int) -> int:
         """Bytes of K/V fetched from HBM to attend the segment.

@@ -29,7 +29,7 @@ import math
 import random
 
 from repro.scheduling.policy import BatchDirective, PoolView, SchedulingPolicy
-from repro.types import Request
+from repro.types import Request, stable_request_key
 
 # Default knobs for the registered instances; custom variants can be
 # registered under new names via register_policy.
@@ -103,10 +103,7 @@ class SRPTPredictedPolicy(SRPTOraclePolicy):
         if cached is not None:
             return cached
         bucketed = math.ceil(request.output_len / self.bucket_size) * self.bucket_size
-        key = (
-            request.prompt_len * 1_000_003 + request.output_len
-        ) * 1_000_003 + int(round(request.arrival_time * 1e6)) + request.client_id
-        rng = random.Random(self.seed * 0x9E3779B9 + key)
+        rng = random.Random(self.seed * 0x9E3779B9 + stable_request_key(request))
         factor = 1.0 + self.error * rng.uniform(-1.0, 1.0)
         predicted = max(1, round(bucketed * factor))
         self._predictions[request.request_id] = predicted

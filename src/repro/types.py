@@ -71,6 +71,22 @@ def next_request_id() -> int:
     return next(_request_ids)
 
 
+def stable_request_key(request: Request) -> int:
+    """An integer identity of a request that depends only on the trace.
+
+    Built from lengths, tenant and arrival time, never from
+    ``request_id`` (a process-global counter), so seeded draws keyed on
+    it repeat in every run, worker and resume of the same trace.
+    Identical requests share a key; callers that must tell them apart
+    add the request's position in the trace.
+    """
+    return (
+        (request.prompt_len * 1_000_003 + request.output_len) * 1_000_003
+        + int(round(request.arrival_time * 1e6))
+        + request.client_id
+    )
+
+
 @dataclass
 class Request:
     """A single inference request and its mutable serving state.

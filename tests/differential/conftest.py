@@ -18,6 +18,13 @@ import dataclasses
 import random
 
 from repro.api import build_engine, clone_requests
+from repro.cluster.degradation import BrownoutConfig, DegradationLevel
+from repro.cluster.fleet import (
+    FaultSchedule,
+    FleetConfig,
+    HealthConfig,
+    ReplicaFault,
+)
 from repro.types import Request
 from repro.workload.datasets import (
     ARXIV_SUMMARIZATION,
@@ -123,3 +130,64 @@ WORKLOADS = {
     ),
     "decode_heavy": _decode_heavy,
 }
+
+
+# The fleet control-plane cell: an SLO tight enough that brownout and
+# the SLO-aware router both act.
+CONTROL_PLANE_SLO = 0.01
+
+
+def control_plane_trace() -> list[Request]:
+    """Three tenants, Poisson arrivals with a same-instant cohort every
+    tenth request (the cohorts overflow the bounded queues)."""
+    rng = random.Random(11)
+    now = 0.0
+    trace = []
+    for i in range(100):
+        if i % 10:
+            now += rng.expovariate(60.0)
+        trace.append(
+            Request(
+                prompt_len=rng.randint(32, 400),
+                output_len=rng.randint(20, 120),
+                arrival_time=now,
+                client_id=i % 3,
+            )
+        )
+    return trace
+
+
+def control_plane_fleet() -> FleetConfig:
+    """Four replicas under all three fault kinds, the health monitor, a
+    two-level brownout ladder and depth-1 reject admission."""
+    return FleetConfig(
+        num_replicas=4,
+        faults=FaultSchedule(
+            (
+                ReplicaFault(2, 0.05, 3.0, "slowdown", 6.0),
+                ReplicaFault(1, 1.0, 1.6),
+                ReplicaFault(0, 0.5, 2.5, "capacity_loss", 0.7),
+            )
+        ),
+        max_queue_depth=1,
+        admission="reject",
+        # No jitter: the cell's golden digest must not depend on how
+        # retry jitter is keyed.
+        retry_jitter=0.0,
+        max_retries=3,
+        health=HealthConfig(check_interval=0.1, min_samples=8, inflation_factor=2.0),
+        brownout=BrownoutConfig(
+            levels=(
+                DegradationLevel(token_budget=128),
+                DegradationLevel(
+                    token_budget=128, max_context=300, shed_client_ids=(2,)
+                ),
+            ),
+            tbt_slo=CONTROL_PLANE_SLO,
+            enter_margin=0.5,
+            exit_margin=0.1,
+            min_dwell=0.3,
+            check_interval=0.1,
+            min_samples=8,
+        ),
+    )

@@ -10,17 +10,28 @@ schedulers × workloads × fault/no-fault × seeds matrix runs under
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import json
 
 import pytest
 
 from repro.api import ServingConfig, build_engine, clone_requests
-from repro.cluster.fleet import FaultSchedule, FleetConfig, simulate_fleet
-from repro.types import SchedulerKind
+from repro.cluster.fleet import (
+    FaultSchedule,
+    FleetConfig,
+    FleetSimulator,
+    simulate_fleet,
+)
+from repro.cluster.router import SloAwareRouter
+from repro.types import Request, SchedulerKind
 
 from tests.conftest import make_request
 from tests.differential.conftest import (
+    CONTROL_PLANE_SLO,
     WORKLOADS,
     assert_results_identical,
+    control_plane_fleet,
+    control_plane_trace,
     request_timelines,
     run_engine_pair,
 )
@@ -96,6 +107,29 @@ def test_max_time_cutoff_matches(tiny_deployment):
     )
     assert obj.unfinished  # the cap bit, or the test proves nothing
     assert_results_identical(obj, vec)
+
+
+@pytest.mark.parametrize("deployment", ["tiny_deployment", "tiny_pp_deployment"])
+def test_token_observer_once_per_iteration(request, deployment):
+    """Both engines call the TBT observer once per committed iteration
+    that produced samples, with the same samples in batch order."""
+    deployment = request.getfixturevalue(deployment)
+    trace = WORKLOADS["decode_heavy"](14, 0)
+    calls = {}
+    for kind in ("object", "vectorized"):
+        built = build_engine(
+            deployment, _config(SchedulerKind.SARATHI, engine=kind)
+        )
+        calls[kind] = []
+        built.token_observer = calls[kind].append
+        result = built.run(clone_requests(trace))
+        assert 0 < len(calls[kind]) <= result.engine_stats.num_batches
+        assert all(calls[kind])
+    assert calls["object"] == calls["vectorized"]
+    # Together the calls carry every TBT sample of the run.
+    assert sorted(x for call in calls["object"] for x in call) == sorted(
+        x for r in result.requests for x in r.tbt_samples
+    )
 
 
 def test_engine_stats_agree_on_work_done(tiny_deployment):
@@ -270,3 +304,94 @@ def test_fleet_full_matrix(tiny_deployment, kind, workload, fault_mode, seed):
     )
     assert _fleet_events(obj_result) == _fleet_events(vec_result)
     assert obj_metrics == vec_metrics
+
+
+# ----------------------------------------------------------------------
+# Fleet control plane: SLO-aware routing, health, brownout, admission
+# ----------------------------------------------------------------------
+def _run_control_plane(deployment, engine: str, trace: list[Request]):
+    simulator = FleetSimulator(
+        deployment,
+        ServingConfig(engine=engine, token_budget=256),
+        control_plane_fleet(),
+        router=SloAwareRouter(4, tbt_slo=CONTROL_PLANE_SLO),
+    )
+    result = simulator.run(trace)
+    return trace, simulator, result
+
+
+def _control_plane_digest(trace, simulator, result) -> str:
+    """sha256 over the event stream and timelines, ids as trace positions."""
+    position = {r.request_id: i for i, r in enumerate(trace)}
+
+    def local(request_id):
+        return None if request_id is None else position[request_id]
+
+    events = [
+        {**dataclasses.asdict(e), "request_id": local(e.request_id)}
+        for e in result.events
+    ]
+    timelines = [
+        (
+            r.first_scheduled_at,
+            r.first_token_at,
+            r.finished_at,
+            r.token_times,
+            r.num_restarts,
+        )
+        for r in result.requests
+    ]
+    payload = {
+        "events": events,
+        "assignments": sorted(
+            (position[rid], replica) for rid, replica in result.assignments.items()
+        ),
+        "shed": [position[r.request_id] for r in result.shed],
+        "timelines": timelines,
+        "makespan": result.makespan,
+        "recent_tbts": [slot.recent_tbts for slot in simulator.replicas],
+    }
+    blob = json.dumps(payload, sort_keys=True).encode()
+    return hashlib.sha256(blob).hexdigest()
+
+
+# Golden digest of the cell: it moves only if simulated fleet behaviour
+# does, so a performance change to the fleet simulator must leave it as is.
+CONTROL_PLANE_DIGEST = (
+    "07b01c9ea2dbf53912193e0b93bc360eec1a6b53d90a4ca24a43fa11ad37e36f"
+)
+
+
+def test_fleet_control_plane(tiny_deployment):
+    """SLO-aware routing, health drains, brownout and bounded reject
+    admission on top of all three fault kinds: both engines emit the
+    same event stream, assignments and per-slot TBT windows, and the
+    stream matches the golden digest."""
+    trace = control_plane_trace()
+    obj = _run_control_plane(tiny_deployment, "object", trace)
+    vec = _run_control_plane(tiny_deployment, "vectorized", trace)
+    _, obj_sim, obj_result = obj
+    _, vec_sim, vec_result = vec
+    kinds = {e.kind for e in obj_result.events}
+    # The cell must exercise every control loop, or it proves nothing.
+    assert {
+        "drain_start",
+        "health_restart",
+        "brownout_enter",
+        "brownout_exit",
+        "reject",
+        "shed",
+        "failover",
+        "fault_degrade",
+    } <= kinds
+    assert any(e.kind == "reject" and e.retry_at is not None for e in obj_result.events)
+    assert _fleet_events(obj_result) == _fleet_events(vec_result)
+    assert obj_result.assignments == vec_result.assignments
+    assert [s.recent_tbts for s in obj_sim.replicas] == [
+        s.recent_tbts for s in vec_sim.replicas
+    ]
+    assert request_timelines(obj_result.merged()) == request_timelines(
+        vec_result.merged()
+    )
+    assert _control_plane_digest(*obj) == CONTROL_PLANE_DIGEST
+    assert _control_plane_digest(*vec) == CONTROL_PLANE_DIGEST

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+
 import pytest
 
 from repro.api import (
@@ -21,7 +23,7 @@ from repro.scheduling.ablations import ChunkedPrefillsOnlyScheduler
 from repro.scheduling.faster_transformer import FasterTransformerScheduler
 from repro.scheduling.orca import OrcaScheduler
 from repro.scheduling.vllm import VLLMScheduler
-from repro.types import SchedulerKind
+from repro.types import Request, RequestPhase, SchedulerKind
 
 from tests.conftest import make_request
 
@@ -96,6 +98,47 @@ class TestCloneRequests:
         assert clone.prompt_len == 50
         assert clone.arrival_time == 2.0
         assert clone.request_id == original[0].request_id
+
+    @staticmethod
+    def _varied_trace() -> list[Request]:
+        fresh = make_request(prompt_len=50, output_len=3, arrival_time=2.0)
+        tagged = Request(
+            prompt_len=80,
+            output_len=4,
+            arrival_time=1.5,
+            client_id=2,
+            prefix_id=7,
+            prefix_len=32,
+            prefix_publish_len=48,
+        )
+        # Partially run: prefilled, two tokens out, then preempted.
+        partial = make_request(prompt_len=40, output_len=6, arrival_time=0.5)
+        partial.record_prefill(40, now=1.0)
+        partial.record_decode(now=1.1)
+        partial.restart_after_preemption()
+        return [fresh, tagged, partial]
+
+    def test_clone_equals_deepcopy(self):
+        original = self._varied_trace()
+        clones = clone_requests(original)
+        assert clones == [copy.deepcopy(r) for r in original]
+        for clone, request in zip(clones, original):
+            assert type(clone) is type(request)
+            assert clone is not request
+            assert clone.token_times is not request.token_times
+
+    def test_mutating_clone_leaves_input_untouched(self):
+        original = self._varied_trace()
+        before = copy.deepcopy(original)
+        clones = clone_requests(original)
+        for clone in clones:
+            clone.token_times.append(9.0)
+            clone.num_restarts += 1
+            clone.phase = RequestPhase.FINISHED
+            clone.prefix_len = 0
+            clone.first_token_at = 9.0
+        clones[2].record_prefill(clones[2].remaining_prefill, now=3.0)
+        assert original == before
 
 
 class TestSimulate:

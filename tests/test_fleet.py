@@ -2,15 +2,19 @@
 
 from __future__ import annotations
 
+import dataclasses
+import math
+
 import pytest
 
-from repro.api import ServingConfig, build_engine, clone_requests, simulate
+from repro.api import Deployment, ServingConfig, build_engine, clone_requests, simulate
 from repro.cluster.cluster import ClusterResult, simulate_cluster
 from repro.cluster.fleet import (
     AdmissionPolicy,
     FaultSchedule,
     FleetConfig,
     FleetResult,
+    FleetSimulator,
     ReplicaFault,
     simulate_fleet,
 )
@@ -22,11 +26,19 @@ from repro.cluster.router import (
     SloAwareRouter,
     as_fleet_router,
 )
+from repro.hardware.catalog import A100_80G
 from repro.metrics.goodput import RequestSLO, fleet_goodput
+from repro.models.catalog import MISTRAL_7B
 from repro.telemetry.fleet import fleet_rows, replica_utilization_rows
 from repro.types import PreemptionMode, SchedulerKind
+from repro.workload.datasets import SHAREGPT4, generate_requests
 
 from tests.conftest import make_request
+from tests.differential.conftest import (
+    CONTROL_PLANE_SLO,
+    control_plane_fleet,
+    control_plane_trace,
+)
 
 # The static-partition golden tests exercise the deprecated
 # simulate_cluster shim on purpose; the warning itself is pinned in
@@ -553,6 +565,99 @@ class TestFleetApi:
         assert isinstance(result, FleetResult)
         assert metrics.num_requests == 4
         assert result.cache_stats is not None  # perf cache on by default
+
+    def test_makespan_is_python_float(self, tiny_deployment, engine):
+        # Generated traces carry numpy arrival times; the API must not
+        # hand numpy scalars back.
+        trace = generate_requests(SHAREGPT4, num_requests=8, qps=2.0, seed=0)
+        result, _ = simulate_fleet(
+            tiny_deployment,
+            ServingConfig(engine=engine),
+            trace,
+            FleetConfig(num_replicas=2),
+        )
+        assert type(result.makespan) is float
+        assert type(result.merged().makespan) is float
+        single, _ = simulate(tiny_deployment, ServingConfig(engine=engine), trace)
+        assert type(single.makespan) is float
+
+
+class TestRetryJitterIdentity:
+    def test_regenerated_trace_gives_identical_run(self):
+        """Retry jitter must not key on the process-global request id:
+        the same seeded trace generated twice in one process (so with
+        different ids) must reject and finish identically."""
+        deployment = Deployment(model=MISTRAL_7B, gpu=A100_80G)
+        fleet_config = FleetConfig(num_replicas=2, max_queue_depth=2)
+        runs = []
+        for _ in range(2):
+            trace = generate_requests(SHAREGPT4, num_requests=200, qps=20.0, seed=0)
+            result, metrics = simulate_fleet(
+                deployment, ServingConfig(engine="vectorized"), trace, fleet_config
+            )
+            position = {r.request_id: i for i, r in enumerate(trace)}
+            rejects = [
+                (e.time, position[e.request_id], e.attempt, e.retry_at)
+                for e in result.events
+                if e.kind == "reject"
+            ]
+            runs.append((rejects, [position[r.request_id] for r in result.shed], metrics))
+        # The run must actually retry with jitter, or it proves nothing.
+        assert any(retry_at is not None for *_, retry_at in runs[0][0])
+        assert runs[0] == runs[1]
+
+
+class _CheckedFleet(FleetSimulator):
+    """Asserts at every routing decision, and after every fleet event,
+    that the kept board equals a freshly built one."""
+
+    num_routes = 0
+
+    def _check_board(self, now):
+        board = self._board
+        kept = list(board.refresh(now))
+        fresh = [slot.snapshot(now) for slot in self.replicas]
+        assert kept == fresh
+        assert board.num_alive == sum(s.alive for s in fresh)
+        assert board.num_draining == sum(s.draining for s in fresh)
+        for slot in self.replicas:
+            time = slot.engine.next_event_time() if slot.alive else None
+            assert board.times[slot.index] == (math.inf if time is None else time)
+
+    def _route(self, request, attempt, now, queue):
+        self._check_board(now)
+        self.num_routes += 1
+        super()._route(request, attempt, now, queue)
+
+    def _handle(self, kind, payload, now, queue):
+        # Checking first leaves nothing stale, so the check after sees
+        # exactly what the handler invalidated.
+        self._check_board(now)
+        super()._handle(kind, payload, now, queue)
+        self._check_board(now)
+
+
+class TestKeptSnapshots:
+    def test_board_matches_fresh_snapshots(self, tiny_deployment, engine):
+        fleet_config = control_plane_fleet()
+        simulator = _CheckedFleet(
+            tiny_deployment,
+            ServingConfig(engine=engine, token_budget=256),
+            dataclasses.replace(fleet_config, retry_jitter=0.25),
+            router=SloAwareRouter(4, tbt_slo=CONTROL_PLANE_SLO),
+        )
+        result = simulator.run(control_plane_trace())
+        kinds = {e.kind for e in result.events}
+        assert {
+            "drain_start",
+            "health_restart",
+            "brownout_enter",
+            "reject",
+            "fault_down",
+            "fault_degrade",
+            "fault_recover",
+        } <= kinds
+        assert simulator.num_routes >= len(result.requests)
 
 
 class TestServingConfigValidation:

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import math
+import random
+
+import numpy as np
 import pytest
 
 from repro.api import Deployment, ServingConfig, simulate
@@ -41,6 +45,29 @@ class TestStats:
     def test_out_of_range_percentile_rejected(self):
         with pytest.raises(ValueError):
             percentile([1.0], 101)
+
+    def test_percentile_matches_numpy_bit_for_bit(self):
+        """The small-sample path replays np.percentile's arithmetic."""
+        rng = random.Random(7)
+        draws = [
+            lambda: rng.random(),
+            lambda: rng.expovariate(30.0),
+            lambda: 0.01 * rng.randint(0, 5),  # many ties
+            lambda: rng.uniform(-1.0, 1.0) * 1e-3,
+            lambda: rng.randint(0, 10**6),  # integers
+        ]
+        for _ in range(3000):
+            n = rng.choice([1, 2, 3, rng.randint(4, 300), 255, 256, 257])
+            draw = rng.choice(draws)
+            values = [draw() for _ in range(n)]
+            for q in (0, 1, 50, 90, 99, 100, rng.uniform(0.0, 100.0)):
+                assert percentile(values, q) == float(np.percentile(values, q))
+        with np.errstate(invalid="ignore"):
+            for values in ([math.inf, 1.0], [math.inf], [1.0, math.nan, 2.0]):
+                for q in (0, 50, 99, 100):
+                    assert repr(percentile(values, q)) == repr(
+                        float(np.percentile(values, q))
+                    )
 
 
 class TestSLO:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.models.catalog import (
@@ -162,6 +164,28 @@ class TestFlopAccounting:
         a = YI_34B.attention_flops(1, past_len=4096)
         b = YI_34B.attention_flops(1, past_len=8192)
         assert b > a
+
+    @pytest.mark.parametrize("window", [None, 1, 7, 4096])
+    def test_attention_pairs_closed_form_matches_loop(self, window):
+        """The closed form equals the per-query sum it replaced."""
+        model = dataclasses.replace(MISTRAL_7B, sliding_window=window)
+
+        def loop(num_tokens, past_len):
+            total = 0
+            for i in range(num_tokens):
+                span = past_len + i + 1
+                if window is not None:
+                    span = min(span, window)
+                total += span
+            return total
+
+        sizes = [0, 1, 2, 3, 6, 7, 8, 15, 511, 4095, 4096, 4097, 5000]
+        for num_tokens in sizes:
+            # past_len spans below, at and beyond every window.
+            for past_len in sizes + [9000]:
+                assert model._attention_pairs(num_tokens, past_len) == loop(
+                    num_tokens, past_len
+                ), (num_tokens, past_len)
 
 
 class TestActivation:
