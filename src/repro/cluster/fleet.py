@@ -32,6 +32,7 @@ from __future__ import annotations
 import enum
 import math
 import random
+import time
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any
@@ -506,6 +507,9 @@ class FleetResult:
     num_rejections: int
     num_failovers: int
     cache_stats: "CacheStats | None" = None
+    # Host seconds of the driver's event loop (not simulated output, so
+    # excluded from equality).
+    wall_time_s: float = field(default=0.0, compare=False)
 
     @property
     def finished_requests(self) -> list[Request]:
@@ -545,15 +549,15 @@ class FleetResult:
             preemptions += result.num_preemptions
             stats = result.engine_stats
             if stats is not None:
-                engine_stats = (
-                    stats
-                    if engine_stats is None
-                    else EngineStats(
-                        kind=stats.kind,
-                        num_events=engine_stats.num_events + stats.num_events,
-                        num_batches=engine_stats.num_batches + stats.num_batches,
-                        wall_time_s=engine_stats.wall_time_s + stats.wall_time_s,
-                    )
+                engine_stats = EngineStats(
+                    kind=stats.kind,
+                    num_events=stats.num_events
+                    + (engine_stats.num_events if engine_stats else 0),
+                    num_batches=stats.num_batches
+                    + (engine_stats.num_batches if engine_stats else 0),
+                    # Replicas are stepped, never run(): the driver's
+                    # loop is the run's wall time.
+                    wall_time_s=self.wall_time_s,
                 )
             # Per-replica prefix stores are independent; the fleet view
             # sums their counters (incarnations after a crash included).
@@ -994,6 +998,7 @@ class FleetSimulator:
 
         now = 0.0
         times = self._board.times
+        wall_start = time.perf_counter()
         while True:
             global_time = queue.peek_time()
             # The earliest slot event; ties go to the lowest index.
@@ -1013,6 +1018,7 @@ class FleetSimulator:
                 self._handle(kind, payload, now, queue)
             else:
                 now = self.replicas[times.index(replica_time)].step()
+        wall_time_s = time.perf_counter() - wall_start
 
         # Trace timestamps may be numpy scalars; the API returns floats.
         now = float(now)
@@ -1030,6 +1036,7 @@ class FleetSimulator:
             num_rejections=self.num_rejections,
             num_failovers=self.num_failovers,
             cache_stats=cache_stats,
+            wall_time_s=wall_time_s,
         )
         lost = result.lost_requests()
         if lost and max_time is None:

@@ -49,7 +49,9 @@ class EngineStats:
     kind: str
     num_events: int
     num_batches: int
-    wall_time_s: float
+    # Host seconds: ``run()`` time, or the fleet driver's loop time on
+    # a merged fleet result.  Never part of equality — it is not output.
+    wall_time_s: float = field(compare=False)
 
     @property
     def events_per_batch(self) -> float:

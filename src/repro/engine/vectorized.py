@@ -21,11 +21,15 @@ per-token event heap:
   allocated in exactly the order the object engine pushes them, so
   pipeline bubbles (stage idle waiting on its upstream send) fall out
   of the same event replay rather than a separate bubble model.
-* Iteration pricing decomposes into per-component memo tables (linear
-  by token counts, decode attention by context length, prefill
-  attention by chunk shape, token-count terms) that are reassembled in
-  the same order :meth:`ExecutionModel.stage_iteration_time` uses, so
-  every float operation matches.
+* Iteration pricing decomposes into components (linear by token
+  counts, decode attention by context length, prefill attention by
+  chunk shape, token-count terms) that are reassembled in the same
+  order :meth:`ExecutionModel.stage_iteration_time` uses, so every
+  float operation matches.  The components come from the model's one
+  set of :class:`~repro.perf.iteration.PricingTables`, shared by every
+  engine and dynamic scheduler on that model (capacity-search probes,
+  fleet replicas); decode attention is a dense array filled in bulk by
+  a closed form of the scalar decode cost.
 * Token emission timestamps need not be appended per request in the
   hot loop: the engine logs ``(time, rows)`` per iteration and
   rebuilds each ``token_times`` list with one stable sort at
@@ -52,10 +56,9 @@ from repro.engine.replica import (
     TokenObserver,
 )
 from repro.metrics.timeline import IterationRecord
-from repro.parallel.comm import pp_send_time, tp_comm_time
 from repro.perf.iteration import ExecutionModel
 from repro.scheduling.vectorized import VecBatch, VecScheduler
-from repro.types import IterationTime, Request, TokenWork
+from repro.types import IterationTime, Request
 
 __all__ = ["VectorizedReplicaEngine"]
 
@@ -142,15 +145,9 @@ class VectorizedReplicaEngine:
         self._rec_breakdown: list[IterationTime] = []
         self._rec_cache: list[IterationRecord] = []
 
-        # Component pricing memos, assembled in stage_iteration_time's
-        # exact operation order so totals are bit-identical.
-        self._linear_cache: dict[tuple[int, int], float] = {}
-        self._prefill_attn: dict[tuple[int, int], float] = {}
-        self._token_cache: dict[int, tuple[float, float]] = {}
-        self._decode_attn = np.full(1024, np.nan)
-        self._overhead = exec_model._fixed_overhead(True)
-        self._overhead_rest = exec_model._fixed_overhead(False)
-        self._send_cache: dict[int, float] = {}
+        # The model's shared component tables; ``_price`` assembles them
+        # in stage_iteration_time's exact operation order.
+        self._pricing = exec_model.pricing
 
     # ------------------------------------------------------------------
     # Public API
@@ -457,13 +454,7 @@ class VectorizedReplicaEngine:
     def _on_stage_done(self, stage_idx: int, batch: VecBatch, now: float) -> None:
         self._stage_busy[stage_idx] = False
         if stage_idx < self.num_stages - 1:
-            num_tokens = batch.num_tokens
-            send = self._send_cache.get(num_tokens)
-            if send is None:
-                send = pp_send_time(
-                    self.exec_model.model, self.exec_model.parallel, num_tokens
-                )
-                self._send_cache[num_tokens] = send
+            send = self._pricing.send(batch.num_tokens)
             heapq.heappush(
                 self._pipe_heap, (now + send, self._seq, 1, stage_idx + 1, batch)
             )
@@ -529,67 +520,31 @@ class VectorizedReplicaEngine:
                     self._seq += 1
 
     # ------------------------------------------------------------------
-    # Pricing (memoized components, object-identical assembly)
+    # Pricing (shared component tables, object-identical assembly)
     # ------------------------------------------------------------------
     def _price(
         self, batch: VecBatch, is_first: bool = True, is_last: bool = True
     ) -> IterationTime:
+        pricing = self._pricing
         num_tokens = batch.num_tokens
-        key = (num_tokens, batch.num_logit_tokens if is_last else 0)
-        linear = self._linear_cache.get(key)
-        if linear is None:
-            linear = self.exec_model.linear.stage_time(num_tokens, key[1])
-            self._linear_cache[key] = linear
+        linear = pricing.linear(num_tokens, batch.num_logit_tokens if is_last else 0)
         if len(batch.decode_rows):
-            values = self._decode_attention(batch.decode_ctx)
+            values = pricing.decode_attention(batch.decode_ctx)
         else:
             values = []
-        prefill_attn = self._prefill_attn
         for chunk, past in zip(batch.p_chunk, batch.p_past):
-            work_key = (chunk, past)
-            value = prefill_attn.get(work_key)
-            if value is None:
-                value = self.exec_model.attention.work_time(
-                    TokenWork(num_tokens=chunk, past_len=past, is_prefill=True)
-                )
-                prefill_attn[work_key] = value
-            values.append(value)
+            values.append(pricing.prefill_attention(chunk, past))
         # Builtin sum over the batch-ordered list replays the object
         # model's left-to-right float accumulation exactly.
         attention = sum(values)
-        token_terms = self._token_cache.get(num_tokens)
-        if token_terms is None:
-            model = self.exec_model
-            token_terms = (
-                model._others_time(num_tokens),
-                tp_comm_time(
-                    model.model, model.parallel, num_tokens, model.stage_layers
-                ),
-            )
-            self._token_cache[num_tokens] = token_terms
+        others, comm = pricing.token_terms(num_tokens)
         return IterationTime(
             linear,
             attention,
-            token_terms[0],
-            token_terms[1],
-            self._overhead if is_first else self._overhead_rest,
+            others,
+            comm,
+            pricing.overhead_first if is_first else pricing.overhead_rest,
         )
-
-    def _decode_attention(self, ctx: np.ndarray) -> list[float]:
-        table = self._decode_attn
-        max_ctx = int(ctx.max())
-        if max_ctx >= table.size:
-            grown = np.full(max(table.size * 2, max_ctx + 1), np.nan)
-            grown[: table.size] = table
-            self._decode_attn = table = grown
-        values = table[ctx]
-        missing = np.isnan(values)
-        if missing.any():
-            work_time = self.exec_model.attention.work_time
-            for context_len in np.unique(ctx[missing]).tolist():
-                table[context_len] = work_time(TokenWork.decode(context_len))
-            values = table[ctx]
-        return values.tolist()
 
     # ------------------------------------------------------------------
     # Object synchronization

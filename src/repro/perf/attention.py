@@ -12,6 +12,8 @@ Two regimes matter:
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.hardware.gpu import GPUSpec
 from repro.models.config import ModelConfig
 from repro.parallel.config import ParallelConfig
@@ -99,3 +101,35 @@ class AttentionModel:
             mem_eff,
             ramped_compute_efficiency=ramped_eff,
         ).time
+
+    def decode_times(self, lo: int, hi: int) -> np.ndarray:
+        """``work_time(TokenWork.decode(c))`` for every ``c`` in ``[lo, hi)``.
+
+        A closed form of the decode branch above that replays its IEEE
+        operations in the same order — exact integer FLOP counts, one
+        true division, ``* stage_layers / tp``, the byte total and
+        ``max(math, mem)`` — so every element equals the scalar call
+        bit for bit while the per-model FLOP count stays below 2**53
+        (a context of ~10**9 tokens on the largest catalog model), where
+        its integer-to-float conversion is exact.
+        """
+        if not 0 <= lo <= hi:
+            raise ValueError(f"need 0 <= lo <= hi, got [{lo}, {hi})")
+        model = self.model
+        ctx = np.arange(lo, hi, dtype=np.int64)
+        # One decode token attends its context plus itself (window-clipped)
+        # and streams the window-clipped context's KV.
+        pairs = ctx + 1
+        span = ctx
+        if model.sliding_window is not None:
+            pairs = np.minimum(pairs, model.sliding_window)
+            span = np.minimum(span, model.sliding_window)
+        per_pair = model.num_layers * model.num_heads * 4 * model.head_dim
+        flops = (pairs * per_pair) / model.num_layers * self.stage_layers / self._tp
+        num_bytes = (
+            span * self._kv_bytes_per_token_layer + self._qkv_bytes_per_token_layer
+        ) * self.stage_layers
+        eff = self.calibration.attention_decode_efficiency
+        math_time = flops / (self.gpu.peak_flops * eff)
+        mem_time = num_bytes / (self.gpu.memory_bandwidth * eff)
+        return np.maximum(math_time, mem_time)

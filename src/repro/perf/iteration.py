@@ -10,6 +10,9 @@ capacity search) consumes only this interface.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from functools import cached_property
+
+import numpy as np
 
 from repro.hardware.gpu import GPUSpec
 from repro.models.config import ModelConfig
@@ -123,6 +126,17 @@ class ExecutionModel:
     def per_replica_gpus(self) -> int:
         return self.parallel.world_size
 
+    @cached_property
+    def pricing(self) -> "PricingTables":
+        """This model's component memo tables, built on first use.
+
+        One set per model: every vectorized engine and dynamic
+        scheduler built on the model (capacity-search probes, fleet
+        replicas, sweep cells leasing it) reads and fills the same
+        tables.
+        """
+        return PricingTables(self)
+
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
@@ -145,3 +159,87 @@ class ExecutionModel:
         )
         scheduler = calib.iteration_overhead if is_first_stage else 0.0
         return launch + scheduler
+
+
+class PricingTables:
+    """Memoized pricing components of one :class:`ExecutionModel`.
+
+    Each entry is exactly the float the model's own component call
+    returns, so a caller that reassembles them in
+    :meth:`ExecutionModel.stage_iteration_time`'s operation order gets
+    bit-identical totals.  Keys fully determine their values and the
+    model's inputs are immutable, so entries never go stale — which is
+    what lets every engine and scheduler on the model share them.
+
+    Decode attention, the one component priced per sequence every
+    iteration, is a dense array by context length filled in bulk by
+    :meth:`AttentionModel.decode_times` and grown by doubling; the rest
+    are dicts filled on first use.
+    """
+
+    def __init__(self, exec_model: ExecutionModel) -> None:
+        self._model = exec_model
+        self.overhead_first = exec_model._fixed_overhead(True)
+        self.overhead_rest = exec_model._fixed_overhead(False)
+        self._linear: dict[tuple[int, int], float] = {}
+        self._prefill: dict[tuple[int, int], float] = {}
+        self._token: dict[int, tuple[float, float]] = {}
+        self._send: dict[int, float] = {}
+        # Decode attention by context length, valid below the mark.
+        self._decode = np.empty(0)
+        self._decode_mark = 0
+
+    def linear(self, num_tokens: int, num_logit_tokens: int) -> float:
+        key = (num_tokens, num_logit_tokens)
+        value = self._linear.get(key)
+        if value is None:
+            value = self._model.linear.stage_time(num_tokens, num_logit_tokens)
+            self._linear[key] = value
+        return value
+
+    def prefill_attention(self, chunk: int, past: int) -> float:
+        """Attention of one prefill chunk (``work_time`` ignores whether
+        the chunk emits a token, so final and non-final chunks share)."""
+        key = (chunk, past)
+        value = self._prefill.get(key)
+        if value is None:
+            value = self._model.attention.work_time(
+                TokenWork(num_tokens=chunk, past_len=past, is_prefill=True)
+            )
+            self._prefill[key] = value
+        return value
+
+    def token_terms(self, num_tokens: int) -> tuple[float, float]:
+        """``(others, TP communication)`` — both depend on tokens only."""
+        value = self._token.get(num_tokens)
+        if value is None:
+            model = self._model
+            value = (
+                model._others_time(num_tokens),
+                tp_comm_time(
+                    model.model, model.parallel, num_tokens, model.stage_layers
+                ),
+            )
+            self._token[num_tokens] = value
+        return value
+
+    def send(self, num_tokens: int) -> float:
+        """Activation transfer to the next pipeline stage."""
+        value = self._send.get(num_tokens)
+        if value is None:
+            value = pp_send_time(self._model.model, self._model.parallel, num_tokens)
+            self._send[num_tokens] = value
+        return value
+
+    def decode_attention(self, ctx: np.ndarray) -> list[float]:
+        """Per-sequence decode attention for a non-empty context array."""
+        max_ctx = int(ctx.max())
+        if max_ctx >= self._decode_mark:
+            mark = self._decode_mark
+            size = max(2 * mark, max_ctx + 1, 1024)
+            table = np.empty(size)
+            table[:mark] = self._decode[:mark]
+            table[mark:] = self._model.attention.decode_times(mark, size)
+            self._decode = table
+            self._decode_mark = size
+        return self._decode[ctx].tolist()

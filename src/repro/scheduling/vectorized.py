@@ -34,9 +34,8 @@ from repro.engine.arrays import (
     RequestArrays,
 )
 from repro.memory.prefix import PrefixCacheStats, SharedPrefixStore
-from repro.parallel.comm import pp_send_time, tp_comm_time
 from repro.scheduling.base import Scheduler as _ObjectScheduler
-from repro.types import IterationTime, PreemptionMode, TokenWork
+from repro.types import IterationTime, PreemptionMode
 
 __all__ = [
     "VecBatch",
@@ -1025,8 +1024,9 @@ class VecDynamicSarathiScheduler(VecSarathiScheduler):
     decode pool, exactly like the object scheduler: bisection over the
     step grid for the largest budget whose predicted hybrid-iteration
     latency meets the TBT SLO.  Instead of an opaque ``works -> cost``
-    oracle it prices candidates from per-component memo tables (the
-    same tables the vectorized engine uses), assembled in
+    oracle it prices candidates from the model's shared component
+    tables (:attr:`ExecutionModel.pricing`, the ones the vectorized
+    engine reads), assembled in
     ``stage_iteration_time``'s operation order so every probe produces
     the same float the object's ``iteration_cost`` closure would — the
     budget choices, and hence the schedules, stay bit-identical.
@@ -1069,15 +1069,9 @@ class VecDynamicSarathiScheduler(VecSarathiScheduler):
         self.budget_step = budget_step
         self.budget_history: list[int] = []
         self._pp = exec_model.parallel.pipeline_parallel
-        # Candidate-pricing memos, keyed like the engine's (see
-        # VectorizedReplicaEngine._price): components are cached, the
-        # assembly replays every float operation.
-        self._dyn_linear: dict[tuple[int, int], float] = {}
-        self._dyn_prefill_attn: dict[tuple[int, int], float] = {}
-        self._dyn_decode_attn: dict[int, float] = {}
-        self._dyn_token: dict[int, tuple[float, float]] = {}
-        self._dyn_send: dict[int, float] = {}
-        self._dyn_overhead = exec_model._fixed_overhead(True)
+        # The model's shared component tables (the engine prices from
+        # the same ones); ``_fits`` replays every float operation.
+        self._pricing = exec_model.pricing
 
     def _build_batch(self, now: float) -> VecBatch | None:
         self.token_budget = self._pick_budget()
@@ -1088,20 +1082,15 @@ class VecDynamicSarathiScheduler(VecSarathiScheduler):
     def _pick_budget(self) -> int:
         """Largest budget whose predicted iteration fits the SLO."""
         A = self.A
+        rows = np.asarray(self._schedulable_rows(), dtype=np.int64)
+        done = A.prefill_done[rows]
+        decoding = done >= A.prefill_target[rows]
+        ctx = done[decoding] + A.decode_steps[rows[decoding]]
+        num_decodes = len(ctx)
         decode_attn = 0
-        num_decodes = 0
-        table = self._dyn_decode_attn
-        work_time = self.exec_model.attention.work_time
-        for row in self._schedulable_rows():
-            if A.prefill_done[row] < A.prefill_target[row]:
-                continue
-            ctx = int(A.prefill_done[row] + A.decode_steps[row])
-            value = table.get(ctx)
-            if value is None:
-                value = work_time(TokenWork.decode(ctx))
-                table[ctx] = value
-            decode_attn = decode_attn + value
-            num_decodes += 1
+        if num_decodes:
+            for value in self._pricing.decode_attention(ctx):
+                decode_attn = decode_attn + value
         lo = self.min_budget
         if not self._fits(lo, num_decodes, decode_attn):
             return self.min_budget
@@ -1119,51 +1108,27 @@ class VecDynamicSarathiScheduler(VecSarathiScheduler):
         return lo
 
     def _fits(self, budget: int, num_decodes: int, decode_attn: float) -> bool:
+        pricing = self._pricing
         num_tokens = num_decodes
         attention = decode_attn
         prefill_tokens = budget - num_decodes
         if prefill_tokens > 0:
-            key = (prefill_tokens, budget)
-            value = self._dyn_prefill_attn.get(key)
-            if value is None:
-                value = self.exec_model.attention.work_time(
-                    TokenWork.prefill_chunk(
-                        prefill_tokens, past_len=budget, is_last=False
-                    )
-                )
-                self._dyn_prefill_attn[key] = value
-            attention = attention + value
+            attention = attention + pricing.prefill_attention(prefill_tokens, budget)
             num_tokens += prefill_tokens
         elif num_decodes == 0:
             return True  # empty candidate — mirrors the object guard
-        lin_key = (num_tokens, num_decodes)
-        linear = self._dyn_linear.get(lin_key)
-        if linear is None:
-            linear = self.exec_model.linear.stage_time(num_tokens, num_decodes)
-            self._dyn_linear[lin_key] = linear
-        token_terms = self._dyn_token.get(num_tokens)
-        if token_terms is None:
-            model = self.exec_model
-            token_terms = (
-                model._others_time(num_tokens),
-                tp_comm_time(
-                    model.model, model.parallel, num_tokens, model.stage_layers
-                ),
-            )
-            self._dyn_token[num_tokens] = token_terms
+        others, comm = pricing.token_terms(num_tokens)
         stage = IterationTime(
-            linear, attention, token_terms[0], token_terms[1], self._dyn_overhead
+            pricing.linear(num_tokens, num_decodes),
+            attention,
+            others,
+            comm,
+            pricing.overhead_first,
         ).total
         if self._pp == 1:
             cost = stage
         else:
-            send = self._dyn_send.get(num_tokens)
-            if send is None:
-                send = pp_send_time(
-                    self.exec_model.model, self.exec_model.parallel, num_tokens
-                )
-                self._dyn_send[num_tokens] = send
-            cost = self._pp * stage + (self._pp - 1) * send
+            cost = self._pp * stage + (self._pp - 1) * pricing.send(num_tokens)
         return cost <= self.tbt_slo
 
 

@@ -78,9 +78,9 @@ def engine_rows(result: "SimulationResult") -> list[Row]:
     Tracks the simulator itself (which core ran, how many events and
     batches it processed, the wall-clock it burned) rather than the
     simulated system — the table sweeps use to compare the object and
-    vectorized cores.  Empty for results assembled outside ``run()``
-    (fleet crash snapshots, merged fleet results), which carry no
-    engine stats.
+    vectorized cores.  On a merged fleet result (what ``simulate``
+    returns) the wall-clock is the fleet driver's loop.  Empty for
+    results that carry no engine stats.
     """
     stats = result.engine_stats
     if stats is None:

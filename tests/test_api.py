@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import dataclasses
 
 import pytest
 
@@ -164,3 +165,21 @@ class TestSimulate:
                 tiny_deployment, ServingConfig(scheduler=kind), trace
             )
             assert metrics.num_requests == 6
+
+    @pytest.mark.parametrize("engine", ["object", "vectorized"])
+    def test_engine_stats_report_wall_time(self, tiny_deployment, engine):
+        """The public path drives engines through step/deliver; the
+        fleet loop's host time still reaches the result."""
+        trace = [
+            make_request(prompt_len=64, output_len=8, arrival_time=0.01 * i)
+            for i in range(6)
+        ]
+        config = ServingConfig(engine=engine)
+        first, _ = simulate(tiny_deployment, config, trace)
+        second, _ = simulate(tiny_deployment, config, trace)
+        assert first.engine_stats.kind == engine
+        assert first.engine_stats.wall_time_s > 0
+        # Host time is not output: it never decides equality.
+        assert first.engine_stats == dataclasses.replace(
+            second.engine_stats, wall_time_s=first.engine_stats.wall_time_s + 1.0
+        )

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.api import Deployment
+from repro.api import Deployment, ServingConfig
+from repro.cluster.fleet import FleetConfig, FleetSimulator
 from repro.experiments.capacity_runner import (
     CapacityCellSpec,
     plan_waves,
@@ -41,6 +42,7 @@ from repro.runtime import (
     max_retries_from_env,
     resume_from_env,
     run_dir_from_env,
+    shared_execution_model,
     sweep_env,
     task_timeout_from_env,
 )
@@ -51,13 +53,49 @@ from repro.telemetry import (
     sweep_run_rows,
 )
 from repro.types import SchedulerKind
-from repro.workload.datasets import SHAREGPT4
+from repro.workload.datasets import SHAREGPT4, generate_requests
 
 TINY = Scale(num_requests=12, capacity_rel_tol=0.5, capacity_max_probes=3)
 
 
 def square(x: int) -> int:  # module-level: picklable for worker processes
     return x * x
+
+
+def reject_heavy_fleet_cell(seed: int) -> tuple:
+    """A two-replica Tiny-1B fleet whose depth-2 queues reject often
+    (module-level: picklable).
+
+    It leases the process's shared model, so the model's pricing tables
+    outlive the cell: the result must not depend on what this process
+    ran before.  Requests are identified by trace position, never by
+    the process-global request id.
+    """
+    deployment = Deployment(model=TINY_1B, gpu=A100_80G)
+    config = ServingConfig(engine="vectorized", perf_cache=True)
+    lease = shared_execution_model(deployment, config)
+    trace = generate_requests(SHAREGPT4, num_requests=48, qps=150.0, seed=seed)
+    result = FleetSimulator(
+        deployment,
+        config,
+        FleetConfig(num_replicas=2, max_queue_depth=2),
+        exec_model=lease.exec_model,
+    ).run(trace)
+    position = {r.request_id: i for i, r in enumerate(result.requests)}
+    return (
+        result.num_rejections,
+        result.num_shed,
+        result.makespan,
+        tuple(
+            (position[e.request_id], e.kind, e.time, e.replica, e.retry_at)
+            for e in result.events
+            if e.request_id is not None
+        ),
+        tuple(
+            (r.first_token_at, r.finished_at, tuple(r.token_times), r.num_restarts)
+            for r in result.requests
+        ),
+    )
 
 
 def fail_on_two(x: int) -> int:
@@ -274,6 +312,38 @@ class TestGridBitIdentity:
             for follower in followers:
                 assert follower.hinted
                 assert follower.qps_hint == anchor.cell.capacity_qps
+
+
+class TestRejectHeavyFleetCells:
+    """Fleet cells whose admission rejects: bit-identical whichever
+    process runs them, in whatever order, and after a resume."""
+
+    SEEDS = [0, 1, 2, 3]
+
+    def test_parallel_and_reordered_runs_identical(self):
+        serial = map_tasks(reject_heavy_fleet_cell, self.SEEDS, jobs=1).values
+        assert all(cell[0] > 0 for cell in serial)  # queues really rejected
+        clear_process_models()
+        reordered = map_tasks(reject_heavy_fleet_cell, self.SEEDS[::-1], jobs=1)
+        assert reordered.values[::-1] == serial
+        clear_process_models()
+        parallel = map_tasks(reject_heavy_fleet_cell, self.SEEDS, jobs=2)
+        assert parallel.values == serial
+
+    def test_resume_replays_identically(self, tmp_path):
+        first = map_tasks(
+            reject_heavy_fleet_cell, self.SEEDS, jobs=1, run_dir=tmp_path
+        )
+        # Cut the sweep after two cells: keep the header and two records.
+        ledger = next(tmp_path.glob("ledger-*.jsonl"))
+        ledger.write_text("\n".join(ledger.read_text().splitlines()[:3]) + "\n")
+        clear_process_models()
+        resumed = map_tasks(
+            reject_heavy_fleet_cell, self.SEEDS, jobs=1, run_dir=tmp_path,
+            resume=True,
+        )
+        assert resumed.num_resumed == 2
+        assert resumed.values == first.values
 
 
 class TestServingConfigValidation:
