@@ -116,7 +116,7 @@ from repro.reporting import (  # noqa: E402
     write_bench_json,
 )
 from repro.runtime import clear_process_models  # noqa: E402
-from repro.types import Request, SchedulerKind  # noqa: E402
+from repro.types import Request  # noqa: E402
 from repro.workload.conversation import simulate_conversations  # noqa: E402
 from repro.workload.datasets import ARXIV_SUMMARIZATION, SHAREGPT4  # noqa: E402
 
@@ -161,14 +161,14 @@ def _timed_capacity_sweep(
 
     def sweep(perf_cache: bool):
         config = serving_config_for(
-            deployment, SchedulerKind.SARATHI_DYNAMIC, strict=True,
+            deployment, "sarathi_dynamic", strict=True,
             perf_cache=perf_cache,
         )
         exec_model = execution_model_for(deployment, config)
         start = time.perf_counter()
         result = measure_capacity(
             deployment,
-            SchedulerKind.SARATHI_DYNAMIC,
+            "sarathi_dynamic",
             SHAREGPT4,
             slo,
             scale,
@@ -268,7 +268,7 @@ def _timed_parallel_grid(
     scale = replace(scale, seed=seed)
     dataset = ARXIV_SUMMARIZATION
     strict_values = (True,) if quick else (True, False)
-    schedulers = (SchedulerKind.VLLM, SchedulerKind.SARATHI)
+    schedulers = ("vllm", "sarathi")
     specs = [
         CapacityCellSpec(
             deployment=deployment,
@@ -287,7 +287,7 @@ def _timed_parallel_grid(
     specs.append(
         CapacityCellSpec(
             deployment=deployment,
-            scheduler=SchedulerKind.SARATHI_DYNAMIC,
+            scheduler="sarathi_dynamic",
             dataset=dataset,
             scale=scale,
             strict=True,
@@ -397,7 +397,7 @@ VEC_CAP_FRACTION = 0.08
 VEC_DYNAMIC_CAP_FRACTION = 0.02
 
 _VEC_CONFIG = dict(
-    scheduler=SchedulerKind.SARATHI, token_budget=512, max_batch_size=256
+    scheduler="sarathi", token_budget=512, max_batch_size=256
 )
 
 
@@ -538,7 +538,7 @@ def _timed_vectorized_dynamic(deployment: Deployment, quick: bool, seed: int) ->
     same wall-clock as the plain-sarathi case.
     """
     config = dict(
-        scheduler=SchedulerKind.SARATHI_DYNAMIC,
+        scheduler="sarathi_dynamic",
         max_batch_size=_VEC_CONFIG["max_batch_size"],
     )
     return _timed_vectorized_single(
@@ -641,13 +641,13 @@ def _timed_surrogate_grid(quick: bool, seed: int) -> BenchCase:
     # the rest of the harness.  Schedulers vary instead; they share a
     # context row, which is also what the store's ratio transfer eats.
     schedulers = (
-        (SchedulerKind.SARATHI, SchedulerKind.VLLM)
+        ("sarathi", "vllm")
         if quick
         else (
-            SchedulerKind.SARATHI,
-            SchedulerKind.VLLM,
-            SchedulerKind.ORCA,
-            SchedulerKind.FASTER_TRANSFORMER,
+            "sarathi",
+            "vllm",
+            "orca",
+            "faster_transformer",
         )
     )
     specs = [
@@ -750,7 +750,7 @@ def _timed_prefix_cache_conversation(
             arrival_qps=0.5,
         )
         config = ServingConfig(
-            scheduler=SchedulerKind.SARATHI,
+            scheduler="sarathi",
             token_budget=chunk_sizes[0],
             prefix_cache=cache_on,
         )
@@ -892,7 +892,7 @@ def _timed_fleet_resilience(quick: bool, seed: int) -> BenchCase:
         RESILIENCE_QUICK_SCALE if quick else RESILIENCE_SCALE, seed=seed
     )
     config = ServingConfig(
-        scheduler=SchedulerKind.SARATHI, token_budget=SWEEP_TOKEN_BUDGET
+        scheduler="sarathi", token_budget=SWEEP_TOKEN_BUDGET
     )
     slo = derived_slo(execution_model_for(deployment, config), strict=True)
     specs = [

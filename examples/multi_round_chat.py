@@ -14,9 +14,8 @@ Run:  python examples/multi_round_chat.py
 from __future__ import annotations
 
 from repro.api import ServingConfig
-from repro.cluster import LeastTokensRouter, simulate_cluster
+from repro.cluster import FleetConfig, simulate_fleet
 from repro.experiments.common import mistral_deployment
-from repro.types import SchedulerKind
 from repro.workload.conversation import ConversationSpec, simulate_conversations
 from repro.workload.datasets import generate_requests, SHAREGPT4
 
@@ -35,11 +34,11 @@ def main() -> None:
           f"{spec.mean_think_time:.0f}s think time\n")
 
     print("== single replica, closed-loop conversations ==")
-    for kind in (SchedulerKind.SARATHI, SchedulerKind.VLLM):
+    for kind in ("sarathi", "vllm"):
         config = ServingConfig(scheduler=kind, token_budget=512)
         result, metrics = simulate_conversations(deployment, config, spec, seed=11)
         print(
-            f"  {kind.value:8s} rounds served {metrics.num_requests:4d} | "
+            f"  {kind:8s} rounds served {metrics.num_requests:4d} | "
             f"median TTFT {metrics.median_ttft:6.3f}s | "
             f"P99 TBT {metrics.p99_tbt:6.3f}s | max TBT {metrics.max_tbt:6.3f}s"
         )
@@ -52,12 +51,12 @@ def main() -> None:
     print("== same load on a 2-replica fleet (least-outstanding-tokens) ==")
     trace = generate_requests(SHAREGPT4, num_requests=150, qps=4.0, seed=11)
     for replicas in (1, 2):
-        _, metrics = simulate_cluster(
+        # The default router is least-outstanding-tokens.
+        _, metrics = simulate_fleet(
             deployment,
-            ServingConfig(scheduler=SchedulerKind.SARATHI, token_budget=512),
+            ServingConfig(scheduler="sarathi", token_budget=512),
             trace,
-            num_replicas=replicas,
-            router=LeastTokensRouter(replicas),
+            FleetConfig(num_replicas=replicas),
         )
         print(
             f"  {replicas} replica(s): median TTFT {metrics.median_ttft:6.2f}s | "

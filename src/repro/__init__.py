@@ -16,7 +16,7 @@ implemented end to end on a discrete-event GPU-roofline simulator:
 
 Quickstart::
 
-    from repro import Deployment, ServingConfig, SchedulerKind, simulate
+    from repro import Deployment, ServingConfig, simulate
     from repro.models import MISTRAL_7B
     from repro.hardware import A100_80G
     from repro.workload import SHAREGPT4, generate_requests
@@ -24,7 +24,7 @@ Quickstart::
     deployment = Deployment(model=MISTRAL_7B, gpu=A100_80G)
     trace = generate_requests(SHAREGPT4, num_requests=100, qps=1.0, seed=0)
     result, metrics = simulate(
-        deployment, ServingConfig(scheduler=SchedulerKind.SARATHI), trace
+        deployment, ServingConfig(scheduler="sarathi"), trace
     )
     print(metrics.p99_tbt, metrics.median_ttft)
 """
@@ -53,7 +53,6 @@ from repro.types import (
     PreemptionMode,
     Request,
     RequestPhase,
-    SchedulerKind,
     TokenWork,
 )
 
@@ -62,7 +61,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Deployment",
     "ServingConfig",
-    "SchedulerKind",
     "PreemptionMode",
     "simulate",
     "simulate_fleet",

@@ -38,7 +38,6 @@ from repro.scheduling.registry import (
     SchedulerBuildContext,
     VecSchedulerBuildContext,
     resolve,
-    scheduler_name,
     vectorized_names,
 )
 from repro.scheduling.vectorized import (
@@ -46,7 +45,7 @@ from repro.scheduling.vectorized import (
     VecReservationMemory,
     VecScheduler,
 )
-from repro.types import PreemptionMode, Request, SchedulerKind
+from repro.types import PreemptionMode, Request
 
 
 @dataclass(frozen=True)
@@ -81,15 +80,11 @@ class Deployment:
 class ServingConfig:
     """Scheduler choice and its knobs."""
 
-    # Any name from the scheduler registry (repro.scheduling.registry);
-    # the SchedulerKind enum keeps working as a shim whose values are
-    # registry names.  The default can be flipped process-wide with the
-    # REPRO_SCHEDULER environment variable; the CLI exposes it as
-    # --scheduler.
-    scheduler: SchedulerKind | str = field(
-        default_factory=lambda: os.environ.get(
-            "REPRO_SCHEDULER", SchedulerKind.SARATHI
-        )
+    # Any name from the scheduler registry (repro.scheduling.registry).
+    # The default can be flipped process-wide with the REPRO_SCHEDULER
+    # environment variable; the CLI exposes it as --scheduler.
+    scheduler: str = field(
+        default_factory=lambda: os.environ.get("REPRO_SCHEDULER", "sarathi")
     )
     token_budget: int = 512
     max_batch_size: int = DEFAULT_MAX_BATCH_SIZE
@@ -172,19 +167,14 @@ class ServingConfig:
         object.__setattr__(
             self, "preemption_mode", PreemptionMode.parse(self.preemption_mode)
         )
-        # Normalize enum-valued scheduler strings to the enum so legacy
-        # `config.scheduler is SchedulerKind.X` comparisons keep
-        # working.  Names beyond the enum (plug-in schedulers) stay as
-        # strings and are validated — with did-you-mean suggestions —
-        # against the registry at build time, after any late
-        # registrations.
-        if isinstance(self.scheduler, str):
-            try:
-                object.__setattr__(
-                    self, "scheduler", SchedulerKind(self.scheduler)
-                )
-            except ValueError:
-                pass
+        # Only the type is checked here: the name itself is validated —
+        # with did-you-mean suggestions — against the registry at build
+        # time, after any late plug-in registrations.
+        if not isinstance(self.scheduler, str):
+            raise TypeError(
+                "scheduler must be a registry name (str), "
+                f"got {type(self.scheduler).__name__} {self.scheduler!r}"
+            )
 
     def with_budget(self, token_budget: int) -> "ServingConfig":
         return replace(self, token_budget=token_budget)
@@ -235,8 +225,8 @@ def build_scheduler(
     iterations on the same — possibly cached — model the engine runs
     on, instead of building their own.  Dispatch goes through the
     scheduler registry (:mod:`repro.scheduling.registry`): any
-    registered name — or the :class:`~repro.types.SchedulerKind` shim —
-    builds here; unknown names fail with nearest-name suggestions.
+    registered name builds here; unknown names fail with nearest-name
+    suggestions.
     """
     spec = resolve(config.scheduler)
     context = SchedulerBuildContext(
@@ -267,7 +257,7 @@ def build_vectorized_scheduler(
     if spec.build_vectorized is None:
         raise ValueError(
             f"the vectorized engine does not support scheduler "
-            f"{scheduler_name(config.scheduler)!r} "
+            f"{config.scheduler!r} "
             f"({spec.vectorized_unsupported_reason}); use engine='object' "
             f"or a vectorized-capable scheduler: {', '.join(vectorized_names())}"
         )

@@ -1,6 +1,5 @@
 """Multi-replica serving: routers and fleet simulation."""
 
-from repro.cluster.cluster import ClusterResult, simulate_cluster
 from repro.cluster.degradation import (
     BrownoutConfig,
     BrownoutController,
@@ -23,25 +22,17 @@ from repro.cluster.health import HealthConfig, HealthMonitor
 from repro.cluster.router import (
     FleetRouter,
     LeastOutstandingTokensRouter,
-    LeastTokensRouter,
     ReplicaSnapshot,
     RoundRobinRouter,
-    Router,
     SloAwareRouter,
-    as_fleet_router,
 )
 
 __all__ = [
-    "Router",
     "RoundRobinRouter",
-    "LeastTokensRouter",
     "FleetRouter",
     "ReplicaSnapshot",
     "LeastOutstandingTokensRouter",
     "SloAwareRouter",
-    "as_fleet_router",
-    "ClusterResult",
-    "simulate_cluster",
     "ReplicaFault",
     "FaultKind",
     "FaultSchedule",

@@ -1,9 +1,8 @@
 """Event-driven fleet simulation: online routing, faults, overload.
 
-This is the production-shaped multi-replica layer.  Where the old
-cluster path statically pre-partitioned the whole trace and simulated
-replicas independently, the fleet simulator advances every replica
-through one shared virtual clock and makes *online* decisions:
+This is the production-shaped multi-replica layer.  The fleet
+simulator advances every replica through one shared virtual clock and
+makes *online* decisions:
 
 * **State-aware routing** — each arrival is routed against live
   replica snapshots (queue depth, outstanding tokens, KV occupancy,
@@ -21,16 +20,16 @@ through one shared virtual clock and makes *online* decisions:
 
 Determinism: the event loop is driven by (time, insertion-order)
 min-heaps and contains no randomness of its own; fault schedules carry
-their own seed.  With zero faults and unbounded admission the fleet
-path reproduces the old static-partition results bit for bit, and a
-1-replica fleet run is exactly ``ReplicaEngine.run`` (the single-replica
-``repro.api.simulate`` is implemented as this special case).
+their own seed.  A 1-replica fleet run is exactly ``ReplicaEngine.run``
+(the single-replica ``repro.api.simulate`` is implemented as this
+special case).
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import operator
 import random
 import time
 from collections.abc import Sequence
@@ -43,8 +42,6 @@ from repro.cluster.router import (
     FleetRouter,
     LeastOutstandingTokensRouter,
     ReplicaSnapshot,
-    Router,
-    as_fleet_router,
 )
 from repro.engine.simulator import EventQueue
 from repro.engine.replica import EngineStats, ReplicaEngine, SimulationResult
@@ -915,7 +912,7 @@ class FleetSimulator:
         deployment: "Deployment",
         config: "ServingConfig",
         fleet: FleetConfig,
-        router: FleetRouter | Router | None = None,
+        router: FleetRouter | None = None,
         exec_model: "ExecutionModel | None" = None,
     ) -> None:
         from repro.api import execution_model_for
@@ -931,11 +928,13 @@ class FleetSimulator:
             if exec_model is not None
             else execution_model_for(deployment, config)
         )
-        self.router = as_fleet_router(
-            router
-            if router is not None
-            else LeastOutstandingTokensRouter(fleet.num_replicas)
-        )
+        if router is None:
+            router = LeastOutstandingTokensRouter(fleet.num_replicas)
+        elif not isinstance(router, FleetRouter):
+            raise TypeError(
+                f"expected a FleetRouter, got {type(router).__name__}"
+            )
+        self.router = router
         if self.router.num_replicas != fleet.num_replicas:
             raise ValueError(
                 f"router is configured for {self.router.num_replicas} replicas, "
@@ -1199,20 +1198,26 @@ class FleetSimulator:
         snapshots = list(board.refresh(now))
         if board.num_draining and board.num_alive > board.num_draining:
             # Draining replicas take no new work while at least one
-            # routable replica remains: state-blind routers see them as
-            # down and the dead-pick failover below walks past them.
+            # routable replica remains: routers see them as down and
+            # the dead-pick failover below walks past them.
             snapshots = [
                 replace(s, alive=False) if s.draining else s for s in snapshots
             ]
         elif not board.num_alive:
             self._reject(request, attempt, now, queue, None, "no_alive_replica")
             return
-        choice = self.router.route(request, now, snapshots)
+        picked = self.router.route(request, now, snapshots)
         num = self.fleet.num_replicas
-        if not isinstance(choice, int) or not 0 <= choice < num:
-            raise ValueError(f"router returned invalid replica {choice!r}")
+        try:
+            # operator.index accepts numpy integers (np.argmin results)
+            # and rejects floats and other non-integers.
+            choice = operator.index(picked)
+        except TypeError:
+            choice = -1
+        if not 0 <= choice < num:
+            raise ValueError(f"router returned invalid replica {picked!r}")
         if not snapshots[choice].alive:
-            # A state-blind router picked a crashed replica; fail over
+            # The router picked a crashed or draining replica; fail over
             # deterministically to the next alive index.
             for shift in range(1, num):
                 candidate = (choice + shift) % num
@@ -1360,15 +1365,14 @@ def simulate_fleet(
     requests: list[Request],
     fleet: FleetConfig | None = None,
     *,
-    router: FleetRouter | Router | None = None,
+    router: FleetRouter | None = None,
     max_time: float | None = None,
     exec_model: "ExecutionModel | None" = None,
 ) -> tuple[FleetResult, RunMetrics]:
     """Run a trace through an online fleet and summarize it.
 
     The unified entry point: ``repro.api.simulate`` is the 1-replica
-    special case and ``simulate_cluster`` the no-fault compatibility
-    shim.  The input trace is cloned, so it can be replayed across
+    special case.  The input trace is cloned, so it can be replayed across
     fleet sizes, routers and fault schedules.  ``exec_model`` (see
     ``repro.api.execution_model_for``) shares one — typically cached —
     execution model across the whole fleet and across calls.

@@ -1,20 +1,12 @@
-"""Request routers for multi-replica serving.
+"""Request routers for the event-driven fleet simulator.
 
-Two router generations coexist:
-
-* :class:`Router` — the legacy *state-blind* interface.  It sees only
-  the request and its own bookkeeping (cumulative assigned work), which
-  is what a front-end that never hears back from replicas can run.
-* :class:`FleetRouter` — the state-aware interface used by the
-  event-driven fleet simulator (:mod:`repro.cluster.fleet`).  At every
-  arrival it receives a live :class:`ReplicaSnapshot` per replica —
-  queue depth, outstanding tokens, KV occupancy, recently observed TBT
-  tail — exactly the feedback a production gateway gets from replica
-  health/metrics endpoints.
-
-Legacy routers still work everywhere: the fleet wraps them in an
-adapter that ignores the snapshots (and fails over deterministically
-when a state-blind router picks a crashed replica).
+At every arrival a :class:`FleetRouter` receives a live
+:class:`ReplicaSnapshot` per replica — queue depth, outstanding tokens,
+KV occupancy, recently observed TBT tail — exactly the feedback a
+production gateway gets from replica health/metrics endpoints.  The
+fleet (:mod:`repro.cluster.fleet`) fails over deterministically when a
+router picks a crashed or draining replica, so a router may ignore the
+snapshots entirely (:class:`RoundRobinRouter`).
 """
 
 from __future__ import annotations
@@ -54,56 +46,7 @@ class ReplicaSnapshot:
 
 
 # ----------------------------------------------------------------------
-# Legacy state-blind routers
-# ----------------------------------------------------------------------
-class Router(abc.ABC):
-    """Assigns each arriving request to a replica index (state-blind)."""
-
-    def __init__(self, num_replicas: int) -> None:
-        if num_replicas < 1:
-            raise ValueError("num_replicas must be >= 1")
-        self.num_replicas = num_replicas
-
-    @abc.abstractmethod
-    def route(self, request: Request) -> int:
-        """Replica index in ``[0, num_replicas)`` for this request."""
-
-
-class RoundRobinRouter(Router):
-    """Cycle through replicas regardless of request size."""
-
-    def __init__(self, num_replicas: int) -> None:
-        super().__init__(num_replicas)
-        self._next = 0
-
-    def route(self, request: Request) -> int:
-        choice = self._next
-        self._next = (self._next + 1) % self.num_replicas
-        return choice
-
-
-class LeastTokensRouter(Router):
-    """Send to the replica with the fewest *cumulatively assigned* tokens.
-
-    Outstanding work is tracked as the total (prompt + expected output)
-    tokens assigned so far, decayed by nothing — a conservative
-    front-end estimate that balances heavy-tailed prompt lengths much
-    better than round-robin.  For the live-state version see
-    :class:`LeastOutstandingTokensRouter`.
-    """
-
-    def __init__(self, num_replicas: int) -> None:
-        super().__init__(num_replicas)
-        self._assigned_tokens = [0] * num_replicas
-
-    def route(self, request: Request) -> int:
-        choice = min(range(self.num_replicas), key=lambda i: self._assigned_tokens[i])
-        self._assigned_tokens[choice] += request.total_len
-        return choice
-
-
-# ----------------------------------------------------------------------
-# State-aware fleet routers
+# Routers
 # ----------------------------------------------------------------------
 class FleetRouter(abc.ABC):
     """Routes arrivals against live replica state (fleet simulator)."""
@@ -120,6 +63,21 @@ class FleetRouter(abc.ABC):
         """Replica index for this request; should pick an alive replica."""
 
 
+class RoundRobinRouter(FleetRouter):
+    """Cycle through replicas regardless of request size or state."""
+
+    def __init__(self, num_replicas: int) -> None:
+        super().__init__(num_replicas)
+        self._next = 0
+
+    def route(
+        self, request: Request, now: float, replicas: list[ReplicaSnapshot]
+    ) -> int:
+        choice = self._next
+        self._next = (self._next + 1) % self.num_replicas
+        return choice
+
+
 _LOAD_KEY = attrgetter("outstanding_tokens", "queue_depth", "index")
 
 
@@ -131,10 +89,9 @@ def _least_loaded(pool: list[ReplicaSnapshot]) -> int:
 class LeastOutstandingTokensRouter(FleetRouter):
     """Join the replica with the least *live* outstanding work.
 
-    Unlike :class:`LeastTokensRouter`, which only ever accumulates, this
-    reads each replica's actual remaining prefill+decode tokens at the
-    moment of arrival — finished work stops counting, so a replica that
-    drained its backlog immediately becomes attractive again (true
+    It reads each replica's actual remaining prefill+decode tokens at
+    the moment of arrival — finished work stops counting, so a replica
+    that drained its backlog immediately becomes attractive again (true
     join-shortest-queue on token work rather than request count).
     """
 
@@ -175,27 +132,3 @@ class SloAwareRouter(FleetRouter):
             if s.recent_p99_tbt is None or s.recent_p99_tbt <= self.tbt_slo
         ]
         return _least_loaded(healthy or alive)
-
-
-class _LegacyRouterAdapter(FleetRouter):
-    """Run a state-blind :class:`Router` under the fleet interface."""
-
-    def __init__(self, router: Router) -> None:
-        super().__init__(router.num_replicas)
-        self.wrapped = router
-
-    def route(
-        self, request: Request, now: float, replicas: list[ReplicaSnapshot]
-    ) -> int:
-        return self.wrapped.route(request)
-
-
-def as_fleet_router(router: FleetRouter | Router) -> FleetRouter:
-    """Coerce either router generation into the fleet interface."""
-    if isinstance(router, FleetRouter):
-        return router
-    if isinstance(router, Router):
-        return _LegacyRouterAdapter(router)
-    raise TypeError(
-        f"expected a FleetRouter or Router, got {type(router).__name__}"
-    )

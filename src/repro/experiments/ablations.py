@@ -22,7 +22,7 @@ from repro.memory.block_manager import PagedBlockManager, ReservationManager
 from repro.metrics.summary import summarize
 from repro.perf.calibration import Calibration
 from repro.perf.iteration import ExecutionModel
-from repro.types import SchedulerKind, TokenWork
+from repro.types import TokenWork
 from repro.workload.datasets import SHAREGPT4, generate_requests
 
 
@@ -52,7 +52,7 @@ def run_budget_sweep(
     )
     points = []
     for budget in budgets:
-        config = ServingConfig(scheduler=SchedulerKind.SARATHI, token_budget=budget)
+        config = ServingConfig(scheduler="sarathi", token_budget=budget)
         engine = build_engine(deployment, config)
         result = engine.run(clone_requests(trace))
         metrics = summarize(result)
@@ -191,9 +191,9 @@ def run_dynamic_budget_comparison(
     )
     variants = {
         "static-512": ServingConfig(
-            scheduler=SchedulerKind.SARATHI, token_budget=512
+            scheduler="sarathi", token_budget=512
         ),
-        "dynamic": ServingConfig(scheduler=SchedulerKind.SARATHI_DYNAMIC),
+        "dynamic": ServingConfig(scheduler="sarathi_dynamic"),
     }
     points = []
     for name, config in variants.items():

@@ -44,9 +44,7 @@ from repro.runtime import (
     shared_execution_model,
     surrogate_from_env,
 )
-from repro.scheduling.registry import scheduler_name
 from repro.telemetry.sweep import capacity_probe_rows
-from repro.types import SchedulerKind
 from repro.workload.datasets import DatasetSpec, generate_requests
 
 
@@ -74,7 +72,7 @@ def token_budget_for(deployment: Deployment, strict: bool) -> int:
 
 def serving_config_for(
     deployment: Deployment,
-    scheduler: SchedulerKind | str,
+    scheduler: str,
     strict: bool,
     max_batch_size: int = 128,
     token_budget: int | None = None,
@@ -111,7 +109,7 @@ MIN_LOAD_DURATION = 60.0
 
 def measure_capacity(
     deployment: Deployment,
-    scheduler: SchedulerKind | str,
+    scheduler: str,
     dataset: DatasetSpec,
     slo: SLOSpec,
     scale: Scale,
@@ -157,7 +155,7 @@ def measure_capacity(
 
 def capacity_cell(
     deployment: Deployment,
-    scheduler: SchedulerKind | str,
+    scheduler: str,
     dataset: DatasetSpec,
     strict: bool,
     scale: Scale,
@@ -174,7 +172,7 @@ def capacity_cell(
     )
     return CapacityCell(
         deployment=deployment.label,
-        scheduler=scheduler_name(scheduler),
+        scheduler=scheduler,
         dataset=dataset.name,
         slo_name=slo.name,
         slo_p99_tbt=slo.p99_tbt,
@@ -204,7 +202,7 @@ class CapacityCellSpec:
     """
 
     deployment: Deployment
-    scheduler: SchedulerKind | str
+    scheduler: str
     dataset: DatasetSpec
     scale: Scale
     strict: bool | None = None
@@ -248,7 +246,7 @@ def cell_features(spec: CapacityCellSpec) -> dict[str, Any]:
         "gpu": deployment.gpu.name,
         "tp": deployment.parallel.tensor_parallel,
         "pp": deployment.parallel.pipeline_parallel,
-        "scheduler": scheduler_name(spec.scheduler),
+        "scheduler": spec.scheduler,
         "token_budget": config.token_budget,
         "max_batch_size": config.max_batch_size,
         "dataset": spec.dataset.name,
@@ -329,7 +327,7 @@ def run_capacity_cell(spec: CapacityCellSpec) -> CellOutcome:
 
     labels = {
         "deployment": deployment.label,
-        "scheduler": scheduler_name(spec.scheduler),
+        "scheduler": spec.scheduler,
         "dataset": spec.dataset.name,
         "slo": slo.name,
         "variant": spec.variant,
@@ -337,7 +335,7 @@ def run_capacity_cell(spec: CapacityCellSpec) -> CellOutcome:
     return CellOutcome(
         cell=CapacityCell(
             deployment=deployment.label,
-            scheduler=scheduler_name(spec.scheduler),
+            scheduler=spec.scheduler,
             dataset=spec.dataset.name,
             slo_name=slo.name,
             slo_p99_tbt=slo.p99_tbt,

@@ -22,14 +22,12 @@ from repro.cluster.router import (
     LeastOutstandingTokensRouter,
     RoundRobinRouter,
     SloAwareRouter,
-    as_fleet_router,
 )
 from repro.experiments.common import Scale, mistral_deployment, perf_cache_from_env
 from repro.metrics.goodput import RequestSLO, fleet_goodput
 from repro.metrics.slo import derived_slo
 from repro.metrics.summary import summarize
 from repro.runtime import map_tasks, persist_execution_model, shared_execution_model
-from repro.types import SchedulerKind
 from repro.workload.datasets import SHAREGPT4, generate_requests
 
 # Deadline for the first token in the fleet goodput score: generous
@@ -62,7 +60,7 @@ class FleetSweepPoint:
 def router_named(name: str, num_replicas: int, tbt_slo: float) -> FleetRouter:
     """Build a router from its CLI name."""
     if name == "round-robin":
-        return as_fleet_router(RoundRobinRouter(num_replicas))
+        return RoundRobinRouter(num_replicas)
     if name == "least-outstanding":
         return LeastOutstandingTokensRouter(num_replicas)
     if name == "slo-aware":
@@ -173,7 +171,7 @@ def run_fleet_sweep(
     deployment = mistral_deployment()
     if perf_cache is None:
         perf_cache = perf_cache_from_env()
-    config = ServingConfig(scheduler=SchedulerKind.SARATHI, perf_cache=perf_cache)
+    config = ServingConfig(scheduler="sarathi", perf_cache=perf_cache)
     slo = derived_slo(execution_model_for(deployment, config), strict=False)
 
     specs = [

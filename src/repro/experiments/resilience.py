@@ -42,7 +42,6 @@ from repro.metrics.recovery import recovery_report
 from repro.metrics.slo import derived_slo
 from repro.metrics.summary import summarize
 from repro.runtime import map_tasks, persist_execution_model, shared_execution_model
-from repro.types import SchedulerKind
 from repro.workload.datasets import SHAREGPT4, generate_requests
 
 # Tenant classes cycled over the trace; class 0 is the most important
@@ -252,7 +251,7 @@ def run_resilience_sweep(
     if perf_cache is None:
         perf_cache = perf_cache_from_env()
     config = ServingConfig(
-        scheduler=SchedulerKind.SARATHI,
+        scheduler="sarathi",
         token_budget=SWEEP_TOKEN_BUDGET,
         perf_cache=perf_cache,
     )

@@ -15,7 +15,6 @@ from repro.perf.cache import (
     execution_fingerprint,
 )
 from repro.perf.disk_cache import PersistentPerfCache
-from repro.perf.table import ProfiledIterationTable
 from repro.perf.validation import AnchorCheck, assert_calibrated, validate_calibration
 from repro.perf.profiler import (
     BudgetProfile,
@@ -50,7 +49,6 @@ __all__ = [
     "hybrid_iteration_time",
     "profile_token_budgets",
     "reference_decode_time",
-    "ProfiledIterationTable",
     "AnchorCheck",
     "validate_calibration",
     "assert_calibrated",

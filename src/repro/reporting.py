@@ -22,13 +22,13 @@ from typing import Any
 
 from repro.api import Deployment, ServingConfig, simulate
 from repro.metrics.timeline import longest_stall
-from repro.types import Request, SchedulerKind
+from repro.types import Request
 
 DEFAULT_COMPARISON = (
-    SchedulerKind.FASTER_TRANSFORMER,
-    SchedulerKind.ORCA,
-    SchedulerKind.VLLM,
-    SchedulerKind.SARATHI,
+    "faster_transformer",
+    "orca",
+    "vllm",
+    "sarathi",
 )
 
 
@@ -48,7 +48,7 @@ class ComparisonRow:
 def compare_schedulers(
     deployment: Deployment,
     requests: list[Request],
-    schedulers: tuple[SchedulerKind, ...] = DEFAULT_COMPARISON,
+    schedulers: tuple[str, ...] = DEFAULT_COMPARISON,
     token_budget: int = 512,
     max_batch_size: int = 128,
     perf_cache: bool = True,
@@ -67,7 +67,7 @@ def compare_schedulers(
         result, metrics = simulate(deployment, config, requests)
         rows.append(
             ComparisonRow(
-                scheduler=kind.value,
+                scheduler=kind,
                 median_ttft=metrics.median_ttft,
                 p99_tbt=metrics.p99_tbt,
                 max_tbt=metrics.max_tbt,

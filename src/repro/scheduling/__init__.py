@@ -31,7 +31,6 @@ from repro.scheduling.registry import (
     register_policy,
     registered_names,
     resolve,
-    scheduler_name,
     unregister,
 )
 from repro.scheduling.theory import (
@@ -64,7 +63,6 @@ __all__ = [
     "register_policy",
     "registered_names",
     "resolve",
-    "scheduler_name",
     "list_specs",
     "unregister",
     # theory-grounded policies

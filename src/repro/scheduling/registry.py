@@ -6,9 +6,8 @@ factory, an *optional* vectorized-engine factory (a capability flag:
 specs without one fail loudly when the vectorized engine is requested,
 naming the schedulers that *are* vectorized-capable), and the memory
 family the policy needs.  ``repro.api.build_scheduler`` / ``build_vectorized_scheduler``
-dispatch through :func:`resolve`; the legacy :class:`~repro.types.SchedulerKind`
-enum survives as a thin compatibility shim whose values are registry
-names.
+dispatch through :func:`resolve`; registry names are the only way to
+name a scheduler.
 
 Third-party policies register themselves without touching engine
 internals::
@@ -41,8 +40,6 @@ from __future__ import annotations
 import difflib
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable
-
-from repro.types import SchedulerKind
 
 if TYPE_CHECKING:  # imported lazily at runtime: repro.api imports us
     from repro.api import Deployment, ServingConfig
@@ -180,16 +177,8 @@ def unregister(name: str) -> None:
         _ALIASES.pop(alias, None)
 
 
-def scheduler_name(scheduler: "SchedulerKind | str") -> str:
-    """The canonical registry name for an enum member or string."""
-    if isinstance(scheduler, SchedulerKind):
-        return scheduler.value
-    return str(scheduler)
-
-
-def resolve(scheduler: "SchedulerKind | str") -> SchedulerSpec:
-    """Look up a spec by name (or enum shim), with did-you-mean help."""
-    name = scheduler_name(scheduler)
+def resolve(name: str) -> SchedulerSpec:
+    """Look up a spec by name (or alias), with did-you-mean help."""
     name = _ALIASES.get(name, name)
     spec = _REGISTRY.get(name)
     if spec is not None:
@@ -430,7 +419,7 @@ def _build_vec_hybrid_only(ctx: VecSchedulerBuildContext):
 
 def _register_builtins() -> None:
     register(SchedulerSpec(
-        name=SchedulerKind.FASTER_TRANSFORMER.value,
+        name="faster_transformer",
         build=_build_faster_transformer,
         build_vectorized=_build_vec_faster_transformer,
         memory_family="reservation",
@@ -438,7 +427,7 @@ def _register_builtins() -> None:
         "to full completion before the next forms.",
     ))
     register(SchedulerSpec(
-        name=SchedulerKind.ORCA.value,
+        name="orca",
         build=_build_orca,
         build_vectorized=_build_vec_orca,
         memory_family="reservation",
@@ -446,28 +435,28 @@ def _register_builtins() -> None:
         "and reservation-style memory (Orca, §2.5).",
     ))
     register(SchedulerSpec(
-        name=SchedulerKind.VLLM.value,
+        name="vllm",
         build=_build_vllm,
         build_vectorized=_build_vec_vllm,
         description="Prefill-prioritizing segregated batches over paged "
         "KV memory (Algorithm 2).",
     ))
     register(SchedulerSpec(
-        name=SchedulerKind.SARATHI.value,
+        name="sarathi",
         build=_build_sarathi,
         build_vectorized=_build_vec_sarathi,
         description="Stall-free batching with chunked prefills under a "
         "fixed token budget (Algorithm 3, the paper's contribution).",
     ))
     register(SchedulerSpec(
-        name=SchedulerKind.SARATHI_DYNAMIC.value,
+        name="sarathi_dynamic",
         build=_build_sarathi_dynamic,
         build_vectorized=_build_vec_sarathi_dynamic,
         description="Sarathi with an SLO-driven per-iteration token "
         "budget priced on the execution model (§5.1).",
     ))
     register(SchedulerSpec(
-        name=SchedulerKind.CHUNKED_ONLY.value,
+        name="chunked_prefills_only",
         build=_build_chunked_only,
         build_vectorized=_build_vec_chunked_only,
         description="Ablation: chunked prefills without hybrid batching "
@@ -475,7 +464,7 @@ def _register_builtins() -> None:
         "(Table 4).",
     ))
     register(SchedulerSpec(
-        name=SchedulerKind.HYBRID_ONLY.value,
+        name="hybrid_batching_only",
         build=_build_hybrid_only,
         build_vectorized=_build_vec_hybrid_only,
         description="Ablation: hybrid (mixed) batches without chunking "

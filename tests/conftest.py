@@ -16,6 +16,18 @@ from repro.models.catalog import TINY_1B
 from repro.parallel.config import ParallelConfig
 from repro.types import Request
 
+# The paper's scheduler families (§2.5, §4) plus the Table-4 ablations:
+# every built-in registry name, in registration order.
+BUILTIN_SCHEDULERS = (
+    "faster_transformer",
+    "orca",
+    "vllm",
+    "sarathi",
+    "sarathi_dynamic",
+    "chunked_prefills_only",
+    "hybrid_batching_only",
+)
+
 
 def pytest_addoption(parser: pytest.Parser) -> None:
     parser.addoption(

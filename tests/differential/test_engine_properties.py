@@ -24,7 +24,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.api import Deployment, ServingConfig, build_engine
 from repro.hardware.catalog import A100_80G
 from repro.models.catalog import TINY_1B
-from repro.types import Request, SchedulerKind
+from repro.types import Request
 
 from tests.conftest import shrink_kv_memory
 
@@ -32,9 +32,9 @@ pytestmark = pytest.mark.tier1
 
 _DEPLOYMENT = Deployment(model=TINY_1B, gpu=A100_80G)
 _SCHEDULERS = [
-    SchedulerKind.SARATHI,
-    SchedulerKind.VLLM,
-    SchedulerKind.FASTER_TRANSFORMER,
+    "sarathi",
+    "vllm",
+    "faster_transformer",
 ]
 
 # The `engine` fixture is an immutable engine-kind string, constant for
@@ -105,7 +105,7 @@ def test_monotone_completion_times(engine, trace, kind):
 
 @_SETTINGS
 @given(
-    kind=st.sampled_from([SchedulerKind.SARATHI, SchedulerKind.VLLM]),
+    kind=st.sampled_from(["sarathi", "vllm"]),
     num_requests=st.integers(min_value=2, max_value=8),
     output_len=st.integers(min_value=50, max_value=200),
 )

@@ -22,8 +22,8 @@ from repro.cluster.fleet import (
     FleetSimulator,
     simulate_fleet,
 )
-from repro.cluster.router import SloAwareRouter
-from repro.types import Request, SchedulerKind
+from repro.cluster.router import RoundRobinRouter, SloAwareRouter
+from repro.types import Request
 
 from tests.conftest import make_request
 from tests.differential.conftest import (
@@ -42,20 +42,20 @@ pytestmark = pytest.mark.tier1
 # dynamic-budget Sarathi variant; only policy-protocol plug-ins stay
 # object-only.
 PR_SCHEDULERS = [
-    SchedulerKind.SARATHI,
-    SchedulerKind.SARATHI_DYNAMIC,
-    SchedulerKind.VLLM,
-    SchedulerKind.FASTER_TRANSFORMER,
+    "sarathi",
+    "sarathi_dynamic",
+    "vllm",
+    "faster_transformer",
 ]
 ALL_SCHEDULERS = PR_SCHEDULERS + [
-    SchedulerKind.ORCA,
-    SchedulerKind.CHUNKED_ONLY,
-    SchedulerKind.HYBRID_ONLY,
+    "orca",
+    "chunked_prefills_only",
+    "hybrid_batching_only",
 ]
 SEEDS = [0, 1, 2]
 
 
-def _config(kind: SchedulerKind, **extra) -> ServingConfig:
+def _config(kind: str, **extra) -> ServingConfig:
     return ServingConfig(scheduler=kind, token_budget=256, **extra)
 
 
@@ -82,7 +82,7 @@ def test_single_replica_full_matrix(tiny_deployment, kind, workload, seed):
 
 
 @pytest.mark.parametrize("mode", ["recompute", "swap"])
-@pytest.mark.parametrize("kind", [SchedulerKind.VLLM, SchedulerKind.SARATHI])
+@pytest.mark.parametrize("kind", ["vllm", "sarathi"])
 def test_preemption_and_swap_pressure(tiny_deployment, kind, mode):
     """Eviction, restart and swap paths must also match bit-for-bit."""
     trace = [
@@ -103,7 +103,7 @@ def test_max_time_cutoff_matches(tiny_deployment):
     """A capped run stops both engines at the same event horizon."""
     trace = WORKLOADS["decode_heavy"](30, 1)
     obj, vec = run_engine_pair(
-        tiny_deployment, _config(SchedulerKind.SARATHI), trace, max_time=2.0
+        tiny_deployment, _config("sarathi"), trace, max_time=2.0
     )
     assert obj.unfinished  # the cap bit, or the test proves nothing
     assert_results_identical(obj, vec)
@@ -118,7 +118,7 @@ def test_token_observer_once_per_iteration(request, deployment):
     calls = {}
     for kind in ("object", "vectorized"):
         built = build_engine(
-            deployment, _config(SchedulerKind.SARATHI, engine=kind)
+            deployment, _config("sarathi", engine=kind)
         )
         calls[kind] = []
         built.token_observer = calls[kind].append
@@ -135,7 +135,7 @@ def test_token_observer_once_per_iteration(request, deployment):
 def test_engine_stats_agree_on_work_done(tiny_deployment):
     """Event and batch counts describe the same simulation."""
     trace = WORKLOADS["sharegpt"](14, 0)
-    obj, vec = run_engine_pair(tiny_deployment, _config(SchedulerKind.SARATHI), trace)
+    obj, vec = run_engine_pair(tiny_deployment, _config("sarathi"), trace)
     assert obj.engine_stats is not None and vec.engine_stats is not None
     assert obj.engine_stats.kind == "object"
     assert vec.engine_stats.kind == "vectorized"
@@ -164,9 +164,7 @@ def test_pipeline_full_matrix(tiny_pp_deployment, kind, workload, seed):
     assert_results_identical(obj, vec)
 
 
-@pytest.mark.parametrize(
-    "kind", [SchedulerKind.SARATHI, SchedulerKind.SARATHI_DYNAMIC]
-)
+@pytest.mark.parametrize("kind", ["sarathi", "sarathi_dynamic"])
 def test_pipeline_preemption_pressure(tiny_pp_deployment, kind):
     """In-flight rows must be exempt from eviction in both engines."""
     trace = [
@@ -253,7 +251,7 @@ def test_fleet_small(tiny_deployment, kind, fault_mode):
     assert obj_metrics == vec_metrics
 
 
-@pytest.mark.parametrize("kind", [SchedulerKind.SARATHI, SchedulerKind.VLLM])
+@pytest.mark.parametrize("kind", ["sarathi", "vllm"])
 def test_fleet_capacity_pressure(tiny_deployment, kind):
     """A near-total mid-run KV shrink must force preemptions on the
     degraded replica and still match bit-for-bit — the free pool goes
@@ -309,12 +307,12 @@ def test_fleet_full_matrix(tiny_deployment, kind, workload, fault_mode, seed):
 # ----------------------------------------------------------------------
 # Fleet control plane: SLO-aware routing, health, brownout, admission
 # ----------------------------------------------------------------------
-def _run_control_plane(deployment, engine: str, trace: list[Request]):
+def _run_control_plane(deployment, engine: str, trace: list[Request], router):
     simulator = FleetSimulator(
         deployment,
         ServingConfig(engine=engine, token_budget=256),
         control_plane_fleet(),
-        router=SloAwareRouter(4, tbt_slo=CONTROL_PLANE_SLO),
+        router=router(),
     )
     result = simulator.run(trace)
     return trace, simulator, result
@@ -360,30 +358,41 @@ def _control_plane_digest(trace, simulator, result) -> str:
 CONTROL_PLANE_DIGEST = (
     "07b01c9ea2dbf53912193e0b93bc360eec1a6b53d90a4ca24a43fa11ad37e36f"
 )
+# The same cell under round-robin, which ignores the snapshots: the
+# crash and the health drain make it pick down replicas, so the
+# driver's dead-pick failover decides where those arrivals go.
+ROUND_ROBIN_DIGEST = (
+    "23fcdd8695b180d3fa90b7abbbc757e25eb5f1617843d457e1b13a82e1082d3c"
+)
+# Every event kind the cell emits under either router; the cell must
+# exercise every control loop, or it proves nothing.
+CONTROL_PLANE_KINDS = {
+    "brownout_enter",
+    "brownout_exit",
+    "drain_start",
+    "failover",
+    "fault_degrade",
+    "fault_down",
+    "fault_recover",
+    "fault_up",
+    "health_restart",
+    "reject",
+    "route",
+    "shed",
+}
 
 
-def test_fleet_control_plane(tiny_deployment):
-    """SLO-aware routing, health drains, brownout and bounded reject
-    admission on top of all three fault kinds: both engines emit the
-    same event stream, assignments and per-slot TBT windows, and the
-    stream matches the golden digest."""
+def _check_control_plane(deployment, router, digest):
+    """Routing, health drains, brownout and bounded reject admission on
+    top of all three fault kinds: both engines emit the same event
+    stream, assignments and per-slot TBT windows, and the stream
+    matches the golden digest."""
     trace = control_plane_trace()
-    obj = _run_control_plane(tiny_deployment, "object", trace)
-    vec = _run_control_plane(tiny_deployment, "vectorized", trace)
+    obj = _run_control_plane(deployment, "object", trace, router)
+    vec = _run_control_plane(deployment, "vectorized", trace, router)
     _, obj_sim, obj_result = obj
     _, vec_sim, vec_result = vec
-    kinds = {e.kind for e in obj_result.events}
-    # The cell must exercise every control loop, or it proves nothing.
-    assert {
-        "drain_start",
-        "health_restart",
-        "brownout_enter",
-        "brownout_exit",
-        "reject",
-        "shed",
-        "failover",
-        "fault_degrade",
-    } <= kinds
+    assert {e.kind for e in obj_result.events} == CONTROL_PLANE_KINDS
     assert any(e.kind == "reject" and e.retry_at is not None for e in obj_result.events)
     assert _fleet_events(obj_result) == _fleet_events(vec_result)
     assert obj_result.assignments == vec_result.assignments
@@ -393,5 +402,19 @@ def test_fleet_control_plane(tiny_deployment):
     assert request_timelines(obj_result.merged()) == request_timelines(
         vec_result.merged()
     )
-    assert _control_plane_digest(*obj) == CONTROL_PLANE_DIGEST
-    assert _control_plane_digest(*vec) == CONTROL_PLANE_DIGEST
+    assert _control_plane_digest(*obj) == digest
+    assert _control_plane_digest(*vec) == digest
+
+
+def test_fleet_control_plane(tiny_deployment):
+    _check_control_plane(
+        tiny_deployment,
+        lambda: SloAwareRouter(4, tbt_slo=CONTROL_PLANE_SLO),
+        CONTROL_PLANE_DIGEST,
+    )
+
+
+def test_fleet_control_plane_round_robin(tiny_deployment):
+    _check_control_plane(
+        tiny_deployment, lambda: RoundRobinRouter(4), ROUND_ROBIN_DIGEST
+    )

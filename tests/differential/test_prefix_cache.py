@@ -20,7 +20,6 @@ import dataclasses
 import pytest
 
 from repro.api import ServingConfig, build_engine
-from repro.types import SchedulerKind
 from repro.workload.conversation import ConversationSpec, ConversationWorkload
 from repro.workload.distributions import FixedLengths
 
@@ -30,9 +29,9 @@ from tests.differential.conftest import golden_trace
 pytestmark = pytest.mark.tier1
 
 SCHEDULERS = [
-    SchedulerKind.SARATHI,
-    SchedulerKind.VLLM,
-    SchedulerKind.CHUNKED_ONLY,
+    "sarathi",
+    "vllm",
+    "chunked_prefills_only",
 ]
 
 
@@ -133,7 +132,7 @@ def test_all_miss_cache_equals_cache_off(tiny_deployment, kind):
     assert conversation_timelines(vec_on) == conversation_timelines(vec_off)
 
 
-@pytest.mark.parametrize("kind", [SchedulerKind.SARATHI, SchedulerKind.VLLM])
+@pytest.mark.parametrize("kind", ["sarathi", "vllm"])
 def test_cache_under_memory_pressure(tiny_deployment, kind):
     """Eviction of retained entries, preemption of claimants and
     re-registration must interleave identically in both engines."""

@@ -31,7 +31,7 @@ from repro.parallel.config import ParallelConfig
 from repro.perf.attention import AttentionModel
 from repro.perf.calibration import Calibration
 from repro.perf.iteration import ExecutionModel
-from repro.types import SchedulerKind, TokenWork
+from repro.types import TokenWork
 
 from tests.differential.conftest import WORKLOADS, assert_results_identical
 
@@ -133,7 +133,7 @@ def _count_calls(monkeypatch, cls, name) -> list:
     return calls
 
 
-def _vectorized(kind=SchedulerKind.SARATHI) -> ServingConfig:
+def _vectorized(kind="sarathi") -> ServingConfig:
     return ServingConfig(scheduler=kind, token_budget=256, engine="vectorized")
 
 
@@ -184,7 +184,7 @@ def test_dynamic_budgets_match_object_on_shared_model(request, deployment, tbt_s
     deployment = request.getfixturevalue(deployment)
     trace = WORKLOADS["arxiv"](8, 1)
     config = dataclasses.replace(
-        _vectorized(SchedulerKind.SARATHI_DYNAMIC), tbt_slo=tbt_slo
+        _vectorized("sarathi_dynamic"), tbt_slo=tbt_slo
     )
     exec_model = deployment.execution_model()
     golden = build_engine(

@@ -24,9 +24,9 @@ from repro.scheduling.ablations import ChunkedPrefillsOnlyScheduler
 from repro.scheduling.faster_transformer import FasterTransformerScheduler
 from repro.scheduling.orca import OrcaScheduler
 from repro.scheduling.vllm import VLLMScheduler
-from repro.types import Request, RequestPhase, SchedulerKind
+from repro.types import Request, RequestPhase
 
-from tests.conftest import make_request
+from tests.conftest import BUILTIN_SCHEDULERS, make_request
 
 
 class TestDeployment:
@@ -51,12 +51,12 @@ class TestBuildScheduler:
     @pytest.mark.parametrize(
         "kind,cls",
         [
-            (SchedulerKind.FASTER_TRANSFORMER, FasterTransformerScheduler),
-            (SchedulerKind.ORCA, OrcaScheduler),
-            (SchedulerKind.VLLM, VLLMScheduler),
-            (SchedulerKind.SARATHI, SarathiScheduler),
-            (SchedulerKind.CHUNKED_ONLY, ChunkedPrefillsOnlyScheduler),
-            (SchedulerKind.HYBRID_ONLY, SarathiScheduler),
+            ("faster_transformer", FasterTransformerScheduler),
+            ("orca", OrcaScheduler),
+            ("vllm", VLLMScheduler),
+            ("sarathi", SarathiScheduler),
+            ("chunked_prefills_only", ChunkedPrefillsOnlyScheduler),
+            ("hybrid_batching_only", SarathiScheduler),
         ],
     )
     def test_all_kinds_buildable(self, tiny_deployment, kind, cls):
@@ -65,17 +65,17 @@ class TestBuildScheduler:
 
     def test_memory_family_matches_scheduler(self, tiny_deployment):
         orca_mem = build_memory(
-            tiny_deployment, ServingConfig(scheduler=SchedulerKind.ORCA)
+            tiny_deployment, ServingConfig(scheduler="orca")
         )
         vllm_mem = build_memory(
-            tiny_deployment, ServingConfig(scheduler=SchedulerKind.VLLM)
+            tiny_deployment, ServingConfig(scheduler="vllm")
         )
         assert isinstance(orca_mem, ReservationManager)
         assert isinstance(vllm_mem, PagedBlockManager)
 
     def test_hybrid_only_has_chunking_disabled(self, tiny_deployment):
         s = build_scheduler(
-            tiny_deployment, ServingConfig(scheduler=SchedulerKind.HYBRID_ONLY)
+            tiny_deployment, ServingConfig(scheduler="hybrid_batching_only")
         )
         assert not s.chunk_prefills
 
@@ -160,7 +160,7 @@ class TestSimulate:
             make_request(prompt_len=64, output_len=3, arrival_time=0.01 * i)
             for i in range(6)
         ]
-        for kind in SchedulerKind:
+        for kind in BUILTIN_SCHEDULERS:
             _, metrics = simulate(
                 tiny_deployment, ServingConfig(scheduler=kind), trace
             )

@@ -24,7 +24,6 @@ from repro.runtime import (
     corrupt_file,
     map_tasks,
 )
-from repro.types import SchedulerKind
 from repro.workload.datasets import SHAREGPT4
 
 pytestmark = pytest.mark.chaos
@@ -150,7 +149,7 @@ class TestRecoveryDrills:
                 qps_hint=1.0,
             )
             for strict in (True, False)
-            for scheduler in (SchedulerKind.VLLM, SchedulerKind.SARATHI)
+            for scheduler in ("vllm", "sarathi")
         ]
         clear_process_models()
         serial = run_capacity_cells(specs, jobs=1)

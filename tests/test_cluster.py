@@ -1,38 +1,14 @@
-"""Tests for multi-replica routing and fleet simulation."""
+"""Tests for the round-robin router and ``simulate_fleet`` over several replicas."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.api import ServingConfig
-from repro.cluster.cluster import simulate_cluster
-from repro.cluster.router import LeastTokensRouter, RoundRobinRouter, Router
+from repro.api import ServingConfig, simulate
+from repro.cluster.fleet import FleetConfig, simulate_fleet
+from repro.cluster.router import FleetRouter, RoundRobinRouter
 
 from tests.conftest import make_request
-
-# simulate_cluster is a deprecated shim over simulate_fleet; these
-# tests pin the shim's behavior, so silence the warning suite-wide and
-# assert it fires exactly once below.
-pytestmark = pytest.mark.filterwarnings(
-    "ignore:simulate_cluster is deprecated:DeprecationWarning"
-)
-
-
-class TestDeprecation:
-    def test_simulate_cluster_warns(self, tiny_deployment):
-        trace = [make_request(prompt_len=64, output_len=4)]
-        with pytest.warns(DeprecationWarning, match="simulate_cluster is deprecated"):
-            simulate_cluster(tiny_deployment, ServingConfig(), trace, num_replicas=1)
-
-    def test_not_reexported_from_top_level(self):
-        import repro
-
-        assert not hasattr(repro, "simulate_cluster")
-        assert "simulate_cluster" not in repro.__all__
-        # ...but still importable from the subpackage for old callers.
-        from repro.cluster import simulate_cluster as shim
-
-        assert shim is simulate_cluster
 
 
 class TestRouters:
@@ -42,26 +18,9 @@ class TestRouters:
 
     def test_round_robin_cycles(self):
         router = RoundRobinRouter(3)
-        choices = [router.route(make_request()) for _ in range(6)]
+        # Round-robin ignores the snapshots.
+        choices = [router.route(make_request(), 0.0, []) for _ in range(6)]
         assert choices == [0, 1, 2, 0, 1, 2]
-
-    def test_least_tokens_balances_heavy_tail(self):
-        router = LeastTokensRouter(2)
-        heavy = make_request(prompt_len=10_000, output_len=100)
-        assert router.route(heavy) == 0
-        # The next several small requests all avoid the loaded replica.
-        for _ in range(5):
-            light = make_request(prompt_len=100, output_len=10)
-            assert router.route(light) == 1
-
-    def test_least_tokens_eventually_rebalances(self):
-        router = LeastTokensRouter(2)
-        router.route(make_request(prompt_len=1000, output_len=100))
-        total = 0
-        while router.route(make_request(prompt_len=200, output_len=20)) == 1:
-            total += 220
-            assert total < 2000
-        assert total > 0
 
 
 class TestSimulateCluster:
@@ -71,22 +30,25 @@ class TestSimulateCluster:
             for i in range(n)
         ]
 
-    def test_all_requests_finish(self, tiny_deployment):
-        result, metrics = simulate_cluster(
-            tiny_deployment, ServingConfig(), self._trace(), num_replicas=3
+    def _run(self, deployment, trace, num_replicas, router=None):
+        return simulate_fleet(
+            deployment,
+            ServingConfig(),
+            trace,
+            FleetConfig(num_replicas=num_replicas),
+            router=router,
         )
+
+    def test_all_requests_finish(self, tiny_deployment):
+        result, metrics = self._run(tiny_deployment, self._trace(), 3)
         assert metrics.num_requests == 30
         merged = result.merged()
         assert not merged.unfinished
 
     def test_single_replica_matches_simulate(self, tiny_deployment):
-        from repro.api import simulate
-
         trace = self._trace()
         _, solo = simulate(tiny_deployment, ServingConfig(), trace)
-        _, fleet = simulate_cluster(
-            tiny_deployment, ServingConfig(), trace, num_replicas=1
-        )
+        _, fleet = self._run(tiny_deployment, trace, 1, RoundRobinRouter(1))
         assert fleet.p99_tbt == pytest.approx(solo.p99_tbt)
         assert fleet.median_ttft == pytest.approx(solo.median_ttft)
 
@@ -95,47 +57,34 @@ class TestSimulateCluster:
             make_request(prompt_len=1500, output_len=20, arrival_time=0.02 * i)
             for i in range(40)
         ]
-        _, one = simulate_cluster(tiny_deployment, ServingConfig(), trace, 1)
-        _, four = simulate_cluster(tiny_deployment, ServingConfig(), trace, 4)
+        _, one = self._run(tiny_deployment, trace, 1)
+        _, four = self._run(tiny_deployment, trace, 4)
         assert four.median_ttft < one.median_ttft
 
     def test_input_not_mutated(self, tiny_deployment):
         trace = self._trace()
-        simulate_cluster(tiny_deployment, ServingConfig(), trace, num_replicas=2)
+        self._run(tiny_deployment, trace, 2, RoundRobinRouter(2))
         assert all(r.prefill_done == 0 for r in trace)
 
     def test_router_replica_mismatch_rejected(self, tiny_deployment):
+        # A router sized for more replicas than the fleet has.
         with pytest.raises(ValueError, match="router is configured"):
-            simulate_cluster(
-                tiny_deployment,
-                ServingConfig(),
-                self._trace(),
-                num_replicas=3,
-                router=RoundRobinRouter(2),
-            )
+            self._run(tiny_deployment, self._trace(), 2, RoundRobinRouter(4))
 
     def test_bad_router_output_rejected(self, tiny_deployment):
-        class BadRouter(Router):
-            def route(self, request):
-                return 99
+        class OffByOne(FleetRouter):
+            def route(self, request, now, replicas):
+                return len(replicas)
 
         with pytest.raises(ValueError, match="invalid replica"):
-            simulate_cluster(
-                tiny_deployment,
-                ServingConfig(),
-                self._trace(),
-                num_replicas=2,
-                router=BadRouter(2),
-            )
+            self._run(tiny_deployment, self._trace(), 2, OffByOne(2))
 
     def test_empty_trace_rejected(self, tiny_deployment):
         with pytest.raises(ValueError):
-            simulate_cluster(tiny_deployment, ServingConfig(), [], num_replicas=2)
+            self._run(tiny_deployment, [], 2, RoundRobinRouter(2))
 
     def test_assignments_cover_all_requests(self, tiny_deployment):
         trace = self._trace(n=20)
-        result, _ = simulate_cluster(
-            tiny_deployment, ServingConfig(), trace, num_replicas=4
-        )
+        result, _ = self._run(tiny_deployment, trace, 4)
         assert len(result.assignments) == 20
-        assert all(0 <= a < 4 for a in result.assignments)
+        assert all(0 <= a < 4 for a in result.assignments.values())

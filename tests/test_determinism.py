@@ -16,7 +16,6 @@ import dataclasses
 import pytest
 
 from repro.api import ServingConfig, build_engine, clone_requests
-from repro.types import SchedulerKind
 from repro.workload.datasets import ARXIV_SUMMARIZATION, SHAREGPT4, generate_requests
 
 from tests.conftest import make_request, shrink_kv_memory
@@ -66,15 +65,15 @@ def _request_timelines(result):
 @pytest.mark.parametrize(
     "kind",
     [
-        SchedulerKind.SARATHI,
-        SchedulerKind.VLLM,
-        SchedulerKind.FASTER_TRANSFORMER,
-        SchedulerKind.SARATHI_DYNAMIC,
+        "sarathi",
+        "vllm",
+        "faster_transformer",
+        "sarathi_dynamic",
     ],
 )
 @pytest.mark.parametrize("perf_cache", [True, False], ids=["cached", "uncached"])
 def test_golden_trace_single_stage(tiny_deployment, kind, perf_cache, engine):
-    if kind is SchedulerKind.SARATHI_DYNAMIC and engine == "vectorized":
+    if kind == "sarathi_dynamic" and engine == "vectorized":
         pytest.skip("dynamic budget control is object-engine only")
     trace = generate_requests(SHAREGPT4, num_requests=20, qps=1.5, seed=11)
     config = ServingConfig(
@@ -113,7 +112,7 @@ def test_golden_trace_under_preemption_pressure(tiny_deployment, engine):
         for i in range(10)
     ]
     config = ServingConfig(
-        scheduler=SchedulerKind.VLLM, preemption_mode="recompute", engine=engine
+        scheduler="vllm", preemption_mode="recompute", engine=engine
     )
 
     def run():

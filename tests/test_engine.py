@@ -6,7 +6,7 @@ import pytest
 
 from repro.api import Deployment, ServingConfig, build_engine, simulate
 from repro.engine.simulator import EventQueue
-from repro.types import Request, SchedulerKind
+from repro.types import Request
 
 from tests.conftest import make_request
 
@@ -84,7 +84,7 @@ class TestReplicaEngineSingleStage:
     def _select_engine(self, engine):
         self.engine = engine
 
-    def _run(self, deployment, requests, scheduler=SchedulerKind.SARATHI, **cfg):
+    def _run(self, deployment, requests, scheduler="sarathi", **cfg):
         config = ServingConfig(scheduler=scheduler, engine=self.engine, **cfg)
         engine = build_engine(deployment, config)
         return engine.run(requests)
@@ -138,7 +138,7 @@ class TestReplicaEngineSingleStage:
 
     def test_max_time_cutoff_leaves_unfinished(self, tiny_deployment):
         requests = [make_request(prompt_len=2000, output_len=200) for _ in range(4)]
-        config = ServingConfig(scheduler=SchedulerKind.SARATHI, engine=self.engine)
+        config = ServingConfig(scheduler="sarathi", engine=self.engine)
         engine = build_engine(tiny_deployment, config)
         result = engine.run(requests, max_time=0.05)
         assert result.unfinished
@@ -171,7 +171,7 @@ class TestReplicaEngineSingleStage:
         assert early.first_token_at < late.first_token_at
 
     def test_vllm_and_ft_also_run_clean(self, tiny_deployment):
-        for kind in (SchedulerKind.VLLM, SchedulerKind.FASTER_TRANSFORMER):
+        for kind in ("vllm", "faster_transformer"):
             requests = [
                 make_request(prompt_len=100, output_len=4, arrival_time=0.01 * i)
                 for i in range(8)
@@ -299,9 +299,8 @@ class TestEngineConfigValidation:
 
     def test_invalid_preemption_mode_via_api(self, tiny_deployment):
         from repro.api import ServingConfig
-        from repro.types import SchedulerKind
 
         # Validation moved to construction time: the typo fails where
         # it was written, not inside build_scheduler.
         with pytest.raises(ValueError, match="preemption_mode"):
-            ServingConfig(scheduler=SchedulerKind.VLLM, preemption_mode="teleport")
+            ServingConfig(scheduler="vllm", preemption_mode="teleport")

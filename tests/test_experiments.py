@@ -18,7 +18,6 @@ from repro.experiments import (
     token_budget_for,
     yi_deployment,
 )
-from repro.types import SchedulerKind
 
 TINY = Scale(num_requests=24, capacity_rel_tol=0.5, capacity_max_probes=5)
 
@@ -236,7 +235,7 @@ class TestCapacityRunnerSmoke:
 
         cell = capacity_cell(
             mistral_deployment(),
-            SchedulerKind.SARATHI,
+            "sarathi",
             SHAREGPT4,
             strict=True,
             scale=TINY,

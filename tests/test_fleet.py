@@ -5,10 +5,17 @@ from __future__ import annotations
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
-from repro.api import Deployment, ServingConfig, build_engine, clone_requests, simulate
-from repro.cluster.cluster import ClusterResult, simulate_cluster
+from repro.api import (
+    Deployment,
+    ServingConfig,
+    build_engine,
+    clone_requests,
+    execution_model_for,
+    simulate,
+)
 from repro.cluster.fleet import (
     AdmissionPolicy,
     FaultSchedule,
@@ -19,18 +26,17 @@ from repro.cluster.fleet import (
     simulate_fleet,
 )
 from repro.cluster.router import (
+    FleetRouter,
     LeastOutstandingTokensRouter,
-    LeastTokensRouter,
     ReplicaSnapshot,
     RoundRobinRouter,
     SloAwareRouter,
-    as_fleet_router,
 )
 from repro.hardware.catalog import A100_80G
 from repro.metrics.goodput import RequestSLO, fleet_goodput
 from repro.models.catalog import MISTRAL_7B
 from repro.telemetry.fleet import fleet_rows, replica_utilization_rows
-from repro.types import PreemptionMode, SchedulerKind
+from repro.types import PreemptionMode
 from repro.workload.datasets import SHAREGPT4, generate_requests
 
 from tests.conftest import make_request
@@ -38,13 +44,6 @@ from tests.differential.conftest import (
     CONTROL_PLANE_SLO,
     control_plane_fleet,
     control_plane_trace,
-)
-
-# The static-partition golden tests exercise the deprecated
-# simulate_cluster shim on purpose; the warning itself is pinned in
-# tests/test_cluster.py.
-pytestmark = pytest.mark.filterwarnings(
-    "ignore:simulate_cluster is deprecated:DeprecationWarning"
 )
 
 
@@ -105,7 +104,10 @@ class TestStaticPartitionGolden:
         cloned = clone_requests(requests)
         per_replica = [[] for _ in range(num_replicas)]
         for request in sorted(cloned, key=lambda r: r.arrival_time):
-            per_replica[router.route(request)].append(request)
+            # Round-robin ignores the snapshots.
+            per_replica[router.route(request, request.arrival_time, [])].append(
+                request
+            )
         results = []
         for assigned in per_replica:
             if not assigned:
@@ -138,33 +140,14 @@ class TestStaticPartitionGolden:
                 assert our_req.token_times == ref_req.token_times
                 assert our_req.finished_at == ref_req.finished_at
 
-    def test_cluster_shim_still_matches_old_semantics(self, tiny_deployment):
-        trace = _trace()
-        reference = self._reference(
-            tiny_deployment, ServingConfig(), trace, 3, LeastTokensRouter(3)
-        )
-        result, metrics = simulate_cluster(
-            tiny_deployment, ServingConfig(), trace, num_replicas=3
-        )
-        merged = result.merged()
-        ref_requests = [r for res in reference for r in res.requests]
-        assert sorted(r.finished_at for r in merged.requests) == sorted(
-            r.finished_at for r in ref_requests
-        )
-        assert merged.makespan == max(r.makespan for r in reference)
-        assert metrics.num_requests == len(trace)
-
-    def test_cluster_shim_accepts_max_time_and_exec_model(self, tiny_deployment):
-        from repro.api import execution_model_for
-
+    def test_fleet_accepts_max_time_and_exec_model(self, tiny_deployment):
         config = ServingConfig()
         exec_model = execution_model_for(tiny_deployment, config)
-        trace = _trace()
-        result, _ = simulate_cluster(
+        result, _ = simulate_fleet(
             tiny_deployment,
             config,
-            trace,
-            num_replicas=2,
+            _trace(),
+            FleetConfig(num_replicas=2),
             max_time=0.2,
             exec_model=exec_model,
         )
@@ -417,9 +400,11 @@ class TestFleetRouters:
         ]
         assert router.route(make_request(), 0.0, snaps) == 0
 
-    def test_as_fleet_router_rejects_other_types(self):
-        with pytest.raises(TypeError):
-            as_fleet_router(object())
+    def test_non_fleet_router_rejected(self, tiny_deployment):
+        with pytest.raises(TypeError, match="expected a FleetRouter"):
+            simulate_fleet(
+                tiny_deployment, ServingConfig(), _trace(n=4), router=object()
+            )
 
     def test_state_blind_router_failover_on_dead_pick(self, tiny_deployment):
         trace = _trace(n=10)
@@ -528,9 +513,30 @@ class TestFleetTelemetryAndMetrics:
         assert report.shed_fraction == result.num_shed / len(trace)
 
     def test_merged_empty_cluster_result(self):
-        merged = ClusterResult(replica_results=[], assignments=[]).merged()
+        merged = FleetResult(
+            requests=[],
+            shed=[],
+            replica_results=[],
+            events=[],
+            assignments={},
+            makespan=0.0,
+            num_replicas=0,
+            num_rejections=0,
+            num_failovers=0,
+        ).merged()
         assert merged.requests == [] and merged.records == []
         assert merged.makespan == 0.0 and merged.num_stages == 0
+
+
+class _FixedPick(FleetRouter):
+    """Sends every arrival to one fixed (possibly ill-typed) pick."""
+
+    def __init__(self, num_replicas, pick):
+        super().__init__(num_replicas)
+        self.pick = pick
+
+    def route(self, request, now, replicas):
+        return self.pick
 
 
 class TestFleetApi:
@@ -547,6 +553,38 @@ class TestFleetApi:
                 FleetConfig(num_replicas=3),
                 router=RoundRobinRouter(2),
             )
+
+    @pytest.mark.parametrize("pick", [99, -1, 1.0, "1"])
+    def test_bad_router_output_rejected(self, tiny_deployment, pick):
+        with pytest.raises(ValueError, match="invalid replica"):
+            simulate_fleet(
+                tiny_deployment,
+                ServingConfig(),
+                _trace(n=4),
+                FleetConfig(num_replicas=2),
+                router=_FixedPick(2, pick),
+            )
+
+    def test_numpy_integer_pick_accepted(self, tiny_deployment):
+        trace = _trace(n=6)
+        picked, picked_metrics = simulate_fleet(
+            tiny_deployment,
+            ServingConfig(),
+            trace,
+            FleetConfig(num_replicas=2),
+            router=_FixedPick(2, np.intp(1)),
+        )
+        plain, plain_metrics = simulate_fleet(
+            tiny_deployment,
+            ServingConfig(),
+            trace,
+            FleetConfig(num_replicas=2),
+            router=_FixedPick(2, 1),
+        )
+        assert set(picked.assignments.values()) == {1}
+        assert all(type(r) is int for r in picked.assignments.values())
+        assert picked.events == plain.events
+        assert picked_metrics == plain_metrics
 
     def test_input_trace_not_mutated(self, tiny_deployment):
         trace = _trace(n=6)
@@ -690,7 +728,7 @@ class TestServingConfigValidation:
 
     def test_valid_config_still_constructs(self):
         config = ServingConfig(
-            scheduler=SchedulerKind.SARATHI, token_budget=256, tbt_slo=0.2
+            scheduler="sarathi", token_budget=256, tbt_slo=0.2
         )
         assert config.token_budget == 256
 

@@ -27,7 +27,7 @@ from repro.parallel.config import ParallelConfig
 from repro.perf.cache import CachedExecutionModel, CacheStats, batch_signature
 from repro.perf.iteration import ExecutionModel
 from repro.telemetry.recorder import iteration_rows, request_rows
-from repro.types import SchedulerKind, TokenWork
+from repro.types import TokenWork
 from repro.workload.datasets import SHAREGPT4, generate_requests
 
 
@@ -189,7 +189,7 @@ def _comparable_iteration_rows(result):
 class TestEndToEndEquivalence:
     @pytest.mark.parametrize(
         "kind",
-        [SchedulerKind.SARATHI, SchedulerKind.VLLM, SchedulerKind.SARATHI_DYNAMIC],
+        ["sarathi", "vllm", "sarathi_dynamic"],
     )
     def test_simulation_outputs_bit_identical(self, tiny_deployment, kind):
         trace = generate_requests(SHAREGPT4, num_requests=24, qps=2.0, seed=5)
@@ -274,7 +274,7 @@ class TestThreading:
 
     def test_dynamic_scheduler_shares_engine_model(self, tiny_deployment):
         engine = build_engine(
-            tiny_deployment, ServingConfig(scheduler=SchedulerKind.SARATHI_DYNAMIC)
+            tiny_deployment, ServingConfig(scheduler="sarathi_dynamic")
         )
         works = [TokenWork.decode(128)]
         engine.scheduler.iteration_cost(works)

@@ -52,7 +52,6 @@ from repro.telemetry import (
     sweep_failure_rows,
     sweep_run_rows,
 )
-from repro.types import SchedulerKind
 from repro.workload.datasets import SHAREGPT4, generate_requests
 
 TINY = Scale(num_requests=12, capacity_rel_tol=0.5, capacity_max_probes=3)
@@ -132,7 +131,7 @@ def tiny_grid_specs(scale: Scale = TINY) -> list[CapacityCellSpec]:
             qps_hint=1.0,
         )
         for strict in (True, False)
-        for scheduler in (SchedulerKind.VLLM, SchedulerKind.SARATHI)
+        for scheduler in ("vllm", "sarathi")
     ]
 
 
@@ -265,14 +264,14 @@ class TestWavePlanning:
         with pytest.raises(ValueError, match="strict"):
             CapacityCellSpec(
                 deployment=deployment,
-                scheduler=SchedulerKind.VLLM,
+                scheduler="vllm",
                 dataset=SHAREGPT4,
                 scale=TINY,
             )
         with pytest.raises(ValueError, match="qps_hint"):
             CapacityCellSpec(
                 deployment=deployment,
-                scheduler=SchedulerKind.VLLM,
+                scheduler="vllm",
                 dataset=SHAREGPT4,
                 scale=TINY,
                 strict=True,
@@ -351,18 +350,18 @@ class TestServingConfigValidation:
         deployment = Deployment(model=TINY_1B, gpu=A100_80G)
         with pytest.raises(ValueError, match="token_budget"):
             serving_config_for(
-                deployment, SchedulerKind.SARATHI, strict=True, token_budget=0
+                deployment, "sarathi", strict=True, token_budget=0
             )
 
     def test_none_budget_uses_regime_default(self):
         deployment = Deployment(model=TINY_1B, gpu=A100_80G)
-        config = serving_config_for(deployment, SchedulerKind.SARATHI, strict=True)
+        config = serving_config_for(deployment, "sarathi", strict=True)
         assert config.token_budget == token_budget_for(deployment, strict=True)
 
     def test_explicit_budget_respected(self):
         deployment = Deployment(model=TINY_1B, gpu=A100_80G)
         config = serving_config_for(
-            deployment, SchedulerKind.SARATHI, strict=True, token_budget=96
+            deployment, "sarathi", strict=True, token_budget=96
         )
         assert config.token_budget == 96
 

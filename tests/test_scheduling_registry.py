@@ -1,55 +1,37 @@
-"""Unit tests for the scheduler registry and the enum compatibility shim.
+"""Unit tests for the scheduler registry.
 
-``SchedulerKind`` is now a thin alias layer over the string-keyed
-registry; these tests pin the resolution rules (names, aliases, enums,
-did-you-mean errors), the registration guard rails, and — the load
-bearing one — that building a scheduler through the enum shim and
-through its registry name produces bit-identical simulations.
+Registry names are the only way to name a scheduler; these tests pin
+the resolution rules (names, did-you-mean errors), the registration
+guard rails, and the ``ServingConfig.scheduler`` boundary: a non-string
+fails at construction, an unknown name only at build time, so late
+plug-in registrations still work.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.api import ServingConfig, build_scheduler, simulate
+from repro.api import ServingConfig, build_scheduler
+from repro.core.sarathi import SarathiScheduler
 from repro.scheduling.registry import (
     SchedulerSpec,
     list_specs,
     register,
     registered_names,
     resolve,
-    scheduler_name,
     unregister,
 )
-from repro.types import SchedulerKind
-from tests.conftest import make_request
+from tests.conftest import BUILTIN_SCHEDULERS
 
-BUILTIN_NAMES = (
-    "faster_transformer",
-    "orca",
-    "vllm",
-    "sarathi",
-    "sarathi_dynamic",
-    "chunked_prefills_only",
-    "hybrid_batching_only",
-)
 THEORY_NAMES = ("srpt_oracle", "srpt_predicted", "fcfs_aging")
 
 
 class TestResolution:
     def test_all_builtins_registered_in_order(self):
         names = registered_names()
-        assert names[: len(BUILTIN_NAMES)] == list(BUILTIN_NAMES)
+        assert names[: len(BUILTIN_SCHEDULERS)] == list(BUILTIN_SCHEDULERS)
         for name in THEORY_NAMES:
             assert name in names
-
-    def test_resolve_by_enum_and_by_string_agree(self):
-        for kind in SchedulerKind:
-            assert resolve(kind) is resolve(kind.value)
-
-    def test_scheduler_name_normalizes(self):
-        assert scheduler_name(SchedulerKind.SARATHI) == "sarathi"
-        assert scheduler_name("srpt_oracle") == "srpt_oracle"
 
     def test_unknown_name_suggests_nearest(self):
         with pytest.raises(ValueError, match="did you mean 'sarathi_dynamic'"):
@@ -98,38 +80,28 @@ class TestRegistrationGuards:
             )
 
 
-class TestEnumShimDifferential:
-    @pytest.mark.parametrize("kind", list(SchedulerKind))
-    def test_enum_and_string_builds_are_bit_identical(self, tiny_deployment, kind):
-        trace = [
-            make_request(
-                prompt_len=48 + 16 * (i % 5), output_len=6, arrival_time=0.15 * i
-            )
-            for i in range(12)
-        ]
-        by_enum, enum_metrics = simulate(
-            tiny_deployment, ServingConfig(scheduler=kind, token_budget=128), trace
-        )
-        by_name, name_metrics = simulate(
-            tiny_deployment,
-            ServingConfig(scheduler=kind.value, token_budget=128),
-            trace,
-        )
-        assert enum_metrics == name_metrics
-        for a, b in zip(by_enum.requests, by_name.requests, strict=True):
-            assert a.token_times == b.token_times
-            assert a.finished_at == b.finished_at
+class TestServingConfigBoundary:
+    @pytest.mark.parametrize("value", [3, None, b"sarathi"])
+    def test_non_string_scheduler_raises_naming_field(self, value):
+        with pytest.raises(TypeError, match="scheduler"):
+            ServingConfig(scheduler=value)
 
-    def test_enum_valued_string_normalizes_to_enum(self):
-        # ServingConfig keeps `config.scheduler is SchedulerKind.X`
-        # working for enum-valued strings (late-registered plug-in
-        # names stay as strings until build time).
-        config = ServingConfig(scheduler="sarathi")
-        assert config.scheduler is SchedulerKind.SARATHI
+    def test_name_kept_as_given(self):
         assert ServingConfig(scheduler="srpt_oracle").scheduler == "srpt_oracle"
 
-    def test_same_class_from_both_paths(self, tiny_deployment):
-        for kind in SchedulerKind:
-            a = build_scheduler(tiny_deployment, ServingConfig(scheduler=kind))
-            b = build_scheduler(tiny_deployment, ServingConfig(scheduler=kind.value))
-            assert type(a) is type(b)
+    def test_unknown_name_fails_at_build_not_construction(self, tiny_deployment):
+        config = ServingConfig(scheduler="late_plugin")
+        with pytest.raises(ValueError, match="unknown scheduler 'late_plugin'"):
+            build_scheduler(tiny_deployment, config)
+        # A registration after the config was written makes it buildable.
+        register(SchedulerSpec(
+            name="late_plugin",
+            build=resolve("sarathi").build,
+            description="late registration test spec",
+        ))
+        try:
+            assert isinstance(
+                build_scheduler(tiny_deployment, config), SarathiScheduler
+            )
+        finally:
+            unregister("late_plugin")

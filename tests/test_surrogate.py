@@ -31,7 +31,6 @@ from repro.metrics.slo import SLOSpec, derived_slo
 from repro.models.catalog import YI_34B
 from repro.parallel.config import ParallelConfig
 from repro.perf.surrogate import SurrogateStore, split_features
-from repro.types import SchedulerKind
 from repro.workload.datasets import get_dataset
 
 pytestmark = pytest.mark.tier1
@@ -195,7 +194,7 @@ def _small_deployment() -> Deployment:
 
 @pytest.mark.parametrize("engine", ["object", "vectorized"])
 @pytest.mark.parametrize(
-    "scheduler", [SchedulerKind.SARATHI, SchedulerKind.SARATHI_DYNAMIC]
+    "scheduler", ["sarathi", "sarathi_dynamic"]
 )
 def test_capacity_is_hint_independent_on_both_engines(engine, scheduler):
     deployment = _small_deployment()
@@ -230,11 +229,11 @@ def test_engines_agree_on_capacity():
     results = {}
     for engine in ("object", "vectorized"):
         config = ServingConfig(
-            scheduler=SchedulerKind.SARATHI_DYNAMIC, engine=engine
+            scheduler="sarathi_dynamic", engine=engine
         )
         results[engine] = measure_capacity(
             deployment,
-            SchedulerKind.SARATHI_DYNAMIC,
+            "sarathi_dynamic",
             dataset,
             slo,
             _SCALE,
@@ -259,7 +258,7 @@ def test_wrong_surrogate_store_cannot_change_grid_capacities():
             strict=True,
             scale=scale,
         )
-        for kind in (SchedulerKind.SARATHI, SchedulerKind.VLLM)
+        for kind in ("sarathi", "vllm")
     ]
     baseline = run_capacity_cells(list(specs), surrogate=False)
 

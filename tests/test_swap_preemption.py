@@ -7,7 +7,7 @@ import pytest
 from repro.api import ServingConfig, build_engine
 from repro.memory.block_manager import PagedBlockManager
 from repro.scheduling.vllm import VLLMScheduler
-from repro.types import RequestPhase, SchedulerKind
+from repro.types import RequestPhase
 
 from tests.conftest import make_request
 
@@ -118,7 +118,7 @@ class TestSwapLifecycle:
 class TestEngineChargesSwapTime:
     def test_swap_traffic_extends_iterations(self, tiny_deployment):
         config = ServingConfig(
-            scheduler=SchedulerKind.VLLM, preemption_mode="swap"
+            scheduler="vllm", preemption_mode="swap"
         )
         engine = build_engine(tiny_deployment, config)
         # Shrink memory to force swapping.
@@ -139,7 +139,7 @@ class TestEngineChargesSwapTime:
         """Every swap-out is matched by a swap-in, and swapping adds no
         re-prefill work: total recorded prefill equals the requests'
         prefill targets (which only self-preemption recomputes grow)."""
-        config = ServingConfig(scheduler=SchedulerKind.VLLM, preemption_mode="swap")
+        config = ServingConfig(scheduler="vllm", preemption_mode="swap")
         engine = build_engine(tiny_deployment, config)
         engine.scheduler.memory = PagedBlockManager(
             4096, block_size=16, watermark=0.0
