@@ -160,9 +160,15 @@ def _timed_capacity_sweep(
     scale = replace(scale, seed=seed)
 
     def sweep(perf_cache: bool):
-        config = serving_config_for(
-            deployment, "sarathi_dynamic", strict=True,
-            perf_cache=perf_cache,
+        # The memo tiers serve the object engine only (the vectorized
+        # engine prices from the model's shared tables), so the case
+        # times them there.
+        config = replace(
+            serving_config_for(
+                deployment, "sarathi_dynamic", strict=True,
+                perf_cache=perf_cache,
+            ),
+            engine="object",
         )
         exec_model = execution_model_for(deployment, config)
         start = time.perf_counter()

@@ -38,7 +38,6 @@ from repro.scheduling.registry import (
     SchedulerBuildContext,
     VecSchedulerBuildContext,
     resolve,
-    vectorized_names,
 )
 from repro.scheduling.vectorized import (
     VecPagedMemory,
@@ -106,14 +105,11 @@ class ServingConfig:
     # analytical model or to bisect a suspected cache bug.
     perf_cache: bool = True
     perf_cache_max_entries: int = DEFAULT_MAX_ENTRIES
-    # Which event-loop implementation runs the simulation: "object"
-    # (the golden reference) or "vectorized" (array-backed, pp=1 only,
-    # bit-identical by contract — see DESIGN.md §10).  The default can
-    # be flipped process-wide with the REPRO_ENGINE environment
-    # variable; the CLI exposes it as --engine.
-    engine: str = field(
-        default_factory=lambda: os.environ.get("REPRO_ENGINE", "object")
-    )
+    # Which event-loop implementation runs the simulation.  Every run
+    # uses "vectorized" (the array-backed engine, every scheduler and
+    # plug-in); "object" selects the golden reference the differential
+    # tests hold it to, bit-identical by contract (DESIGN.md §10).
+    engine: str = "vectorized"
     # KV prefix caching (paged schedulers only): requests tagged with a
     # prefix_id reuse ref-counted shared blocks published by earlier
     # requests in the same lineage, prefilling only their novel suffix
@@ -247,20 +243,10 @@ def build_vectorized_scheduler(
 ) -> VecScheduler:
     """Construct the array-backed scheduler core (and its memory).
 
-    Vectorized support is a registry capability: specs without a
-    vectorized factory (plug-in policies) fail loudly here with the
-    spec's stated reason plus the schedulers that do support it.
     ``exec_model`` serves SLO-driven cores (``sarathi_dynamic``) that
     price candidate iterations, sharing the engine's warm cache.
     """
     spec = resolve(config.scheduler)
-    if spec.build_vectorized is None:
-        raise ValueError(
-            f"the vectorized engine does not support scheduler "
-            f"{config.scheduler!r} "
-            f"({spec.vectorized_unsupported_reason}); use engine='object' "
-            f"or a vectorized-capable scheduler: {', '.join(vectorized_names())}"
-        )
     arrays = RequestArrays()
     if spec.memory_family == "reservation":
         capacity = deployment.kv_capacity_tokens(reservation_style=True)
@@ -298,9 +284,8 @@ def build_engine(
 
     Passing ``exec_model`` overrides ``config.perf_cache`` — the caller
     owns the model (typically to share one warm cache across engines).
-    ``config.engine`` selects the implementation; both produce
-    bit-identical results on every configuration the vectorized engine
-    supports (including pipeline parallelism and ``sarathi_dynamic``).
+    ``config.engine`` selects the implementation: the vectorized engine
+    by default, or the object engine it is held bit-identical to.
     """
     if exec_model is None:
         exec_model = execution_model_for(deployment, config)

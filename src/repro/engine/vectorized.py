@@ -534,6 +534,8 @@ class VectorizedReplicaEngine:
             values = []
         for chunk, past in zip(batch.p_chunk, batch.p_past):
             values.append(pricing.prefill_attention(chunk, past))
+        if batch.order is not None:
+            values = [values[i] for i in batch.order]
         # Builtin sum over the batch-ordered list replays the object
         # model's left-to-right float accumulation exactly.
         attention = sum(values)

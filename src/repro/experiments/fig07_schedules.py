@@ -70,14 +70,16 @@ def run_schedule_traces(
         compositions: list[str] = []
         original_schedule = engine.scheduler.schedule
 
-        def recording_schedule(now, _orig=original_schedule, _names=names):
+        def recording_schedule(
+            now, _orig=original_schedule, _names=names, _rows=engine.arrays.requests
+        ):
             batch = _orig(now)
             if batch is not None:
                 parts = []
-                for item in batch.items:
-                    label = _names.get(item.request.request_id, "?")
-                    kind_char = "p" if item.work.is_prefill else "d"
-                    parts.append(f"{label}{kind_char}{item.work.num_tokens}")
+                for row, is_prefill, num_tokens in batch.items():
+                    label = _names.get(_rows[row].request_id, "?")
+                    kind_char = "p" if is_prefill else "d"
+                    parts.append(f"{label}{kind_char}{num_tokens}")
                 compositions.append("+".join(parts))
             return batch
 

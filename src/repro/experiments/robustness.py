@@ -97,7 +97,11 @@ def run_preemption_policy_comparison(
     )
     points = []
     for policy in ("recompute", "swap"):
-        config = ServingConfig(scheduler="vllm", preemption_mode=policy)
+        # Object engine: no public input sets the 24,576-token KV
+        # capacity, so the run swaps a PagedBlockManager into its engine.
+        config = ServingConfig(
+            scheduler="vllm", preemption_mode=policy, engine="object"
+        )
         engine = build_engine(deployment, config)
         engine.scheduler.memory = PagedBlockManager(
             kv_capacity_tokens, block_size=16

@@ -185,6 +185,11 @@ class CacheStats:
     component_evictions: int = 0
 
     @property
+    def lookups(self) -> int:
+        """Lookups on either tier; 0 means the model was never consulted."""
+        return self.hits + self.misses + self.work_hits + self.work_misses
+
+    @property
     def hit_rate(self) -> float:
         total = self.hits + self.misses
         return self.hits / total if total else 0.0

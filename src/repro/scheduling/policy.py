@@ -64,8 +64,12 @@ class PoolView:
     token each this iteration if scheduled); ``prefills`` are running
     requests mid-prefill; ``waiting`` are arrived-but-unadmitted
     requests in FCFS order.  Requests already inside an in-flight
-    pipeline micro-batch are excluded.  All three are read-only views:
-    mutating request state from a policy is a contract violation.
+    pipeline micro-batch are excluded.  On the vectorized engine the
+    entries are read-only row views
+    (:class:`~repro.scheduling.vectorized.RequestRowView`) exposing the
+    ``Request`` attributes policies read; assigning to one raises.  On
+    the object reference they are the ``Request`` objects, and
+    mutating them is a contract violation.
     """
 
     now: float
@@ -119,7 +123,11 @@ class SchedulingPolicy:
 
 
 class PolicyScheduler(Scheduler):
-    """Adapter running a :class:`SchedulingPolicy` inside the engine.
+    """Adapter running a :class:`SchedulingPolicy` inside the object engine.
+
+    The golden reference for
+    :class:`~repro.scheduling.vectorized.VecPolicyScheduler`, which
+    ports it line for line onto request rows.
 
     Translates directives into scheduled work while enforcing every
     engine invariant the policy is shielded from: the token budget
@@ -127,10 +135,10 @@ class PolicyScheduler(Scheduler):
     KV reservation with preemption for decodes, and block admission
     for waiting requests (admitted out of FCFS order when the policy
     says so).  Contract violations — duplicate directives, directives
-    for unknown requests, decoding an incomplete prefill — raise
-    immediately with the policy's name; memory-driven impossibilities
-    are silently skipped, because pool state legitimately shifts as
-    earlier directives preempt.
+    for unknown requests, decoding a request the pool did not offer as
+    a decode — raise immediately with the policy's name;
+    memory-driven impossibilities are silently skipped, because pool
+    state legitimately shifts as earlier directives preempt.
     """
 
     def __init__(
@@ -186,6 +194,10 @@ class PolicyScheduler(Scheduler):
         tokens_used = 0
         seen: set[int] = set()
         offered = {r.request_id for r in pool.runnable}
+        # Decode legality is judged on the pool the policy saw: an
+        # earlier directive's recompute preemption may since have reset
+        # a decoding request's prefill, which is not the policy's fault.
+        decodable = {r.request_id for r in pool.decodes}
         for directive in directives:
             if len(items) >= self.max_batch_size or tokens_used >= self.token_budget:
                 break
@@ -203,7 +215,7 @@ class PolicyScheduler(Scheduler):
             seen.add(request.request_id)
 
             if directive.chunk is None:
-                if not request.is_prefill_complete:
+                if request.request_id not in decodable:
                     raise ValueError(
                         f"policy {self.policy.name!r} decoded request "
                         f"{request.request_id} before its prefill completed "

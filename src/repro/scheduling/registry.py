@@ -1,11 +1,10 @@
 """Scheduler registry: string names → scheduler factories.
 
 The construction surface for every scheduler in the library.  A
-:class:`SchedulerSpec` bundles a canonical name with an object-engine
-factory, an *optional* vectorized-engine factory (a capability flag:
-specs without one fail loudly when the vectorized engine is requested,
-naming the schedulers that *are* vectorized-capable), and the memory
-family the policy needs.  ``repro.api.build_scheduler`` / ``build_vectorized_scheduler``
+:class:`SchedulerSpec` bundles a canonical name with two factories —
+one for the vectorized runtime engine, one for the object engine that
+serves as its golden reference — and the memory family the policy
+needs.  ``repro.api.build_scheduler`` / ``build_vectorized_scheduler``
 dispatch through :func:`resolve`; registry names are the only way to
 name a scheduler.
 
@@ -23,8 +22,8 @@ internals::
 
 after which ``ServingConfig(scheduler="shortest")`` — and the
 ``--scheduler`` CLI flag, the ``REPRO_SCHEDULER`` environment variable
-and the leaderboard experiment — all accept the new name.  See
-DESIGN.md §12 for the full protocol contract.
+and the leaderboard experiment — all accept the new name, on either
+engine.  See DESIGN.md §12 for the full protocol contract.
 
 Determinism requirement: factories must be pure functions of the build
 context (no wall-clock, no unseeded randomness) so the same config
@@ -117,22 +116,19 @@ class VecSchedulerBuildContext:
 
 @dataclass(frozen=True)
 class SchedulerSpec:
-    """One registered scheduler: a name, factories, and capabilities.
+    """One registered scheduler: a name and its two factories.
 
-    ``build`` constructs the object-engine scheduler and is mandatory —
-    the object engine is the golden reference every policy must run on.
-    ``build_vectorized`` is the capability flag for the vectorized
-    engine: ``None`` means unsupported, and requesting
-    ``engine='vectorized'`` fails loudly with
-    ``vectorized_unsupported_reason``.
+    ``build_vectorized`` constructs the core the runtime (vectorized)
+    engine runs; ``build`` constructs the object-engine scheduler, the
+    golden reference the differential tests hold it to.  Both are
+    mandatory.
     """
 
     name: str
     build: Callable[[SchedulerBuildContext], "Scheduler"]
+    build_vectorized: Callable[[VecSchedulerBuildContext], "VecScheduler"]
     description: str = ""
     memory_family: str = "paged"
-    build_vectorized: Callable[[VecSchedulerBuildContext], "VecScheduler"] | None = None
-    vectorized_unsupported_reason: str = "no vectorized implementation registered"
     aliases: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
@@ -143,10 +139,6 @@ class SchedulerSpec:
                 f"unknown memory family {self.memory_family!r}; "
                 f"choose one of {', '.join(MEMORY_FAMILIES)}"
             )
-
-    @property
-    def supports_vectorized(self) -> bool:
-        return self.build_vectorized is not None
 
 
 _REGISTRY: dict[str, SchedulerSpec] = {}
@@ -197,11 +189,6 @@ def registered_names() -> list[str]:
     return list(_REGISTRY)
 
 
-def vectorized_names() -> list[str]:
-    """Names of schedulers with a vectorized factory, registration order."""
-    return [name for name, spec in _REGISTRY.items() if spec.supports_vectorized]
-
-
 def list_specs() -> list[SchedulerSpec]:
     """All registered specs, in registration order."""
     return list(_REGISTRY.values())
@@ -209,7 +196,9 @@ def list_specs() -> list[SchedulerSpec]:
 
 def register_policy(
     name: str,
-    policy_factory: Callable[[SchedulerBuildContext], "SchedulingPolicy"],
+    policy_factory: Callable[
+        [SchedulerBuildContext | VecSchedulerBuildContext], "SchedulingPolicy"
+    ],
     description: str = "",
     memory_family: str = "paged",
     aliases: tuple[str, ...] = (),
@@ -218,9 +207,12 @@ def register_policy(
     """Register a :class:`~repro.scheduling.policy.SchedulingPolicy`.
 
     The common case for plug-in authors: supply a factory for the
-    *policy* object alone and this wraps it in the
-    :class:`~repro.scheduling.policy.PolicyScheduler` adapter, wired to
+    *policy* object alone and this wraps it in the adapter of each
+    engine — :class:`~repro.scheduling.vectorized.VecPolicyScheduler`
+    and :class:`~repro.scheduling.policy.PolicyScheduler` — wired to
     the config's token budget, batch-size cap and preemption mode.
+    ``policy_factory`` is called with either build context; both carry
+    ``deployment``, ``config`` and ``execution_model()``.
     """
 
     def build(ctx: SchedulerBuildContext) -> "Scheduler":
@@ -235,15 +227,26 @@ def register_policy(
             kv_bytes_per_token=ctx.kv_bytes_per_token,
         )
 
+    def build_vectorized(ctx: VecSchedulerBuildContext) -> "VecScheduler":
+        from repro.scheduling.vectorized import VecPolicyScheduler
+
+        return VecPolicyScheduler(
+            policy_factory(ctx),
+            ctx.arrays,
+            ctx.memory,
+            token_budget=ctx.config.token_budget,
+            max_batch_size=ctx.config.max_batch_size,
+            preemption_mode=ctx.config.preemption_mode,
+            kv_bytes_per_token=ctx.kv_bytes_per_token,
+        )
+
     return register(
         SchedulerSpec(
             name=name,
             build=build,
+            build_vectorized=build_vectorized,
             description=description,
             memory_family=memory_family,
-            vectorized_unsupported_reason=(
-                "policy-protocol schedulers run on the object engine"
-            ),
             aliases=aliases,
         ),
         replace=replace,

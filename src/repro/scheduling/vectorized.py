@@ -34,7 +34,9 @@ from repro.engine.arrays import (
     RequestArrays,
 )
 from repro.memory.prefix import PrefixCacheStats, SharedPrefixStore
+from repro.scheduling.base import DEFAULT_MAX_BATCH_SIZE
 from repro.scheduling.base import Scheduler as _ObjectScheduler
+from repro.scheduling.policy import MemoryView, PoolView, SchedulingPolicy
 from repro.types import IterationTime, PreemptionMode
 
 __all__ = [
@@ -47,6 +49,8 @@ __all__ = [
     "VecOrcaScheduler",
     "VecFasterTransformerScheduler",
     "VecChunkedPrefillsOnlyScheduler",
+    "VecPolicyScheduler",
+    "RequestRowView",
 ]
 
 _EMPTY_ROWS = np.empty(0, dtype=np.int64)
@@ -55,10 +59,13 @@ _EMPTY_ROWS = np.empty(0, dtype=np.int64)
 class VecBatch:
     """One iteration's work as row arrays plus per-item prefill lists.
 
-    Batch item order is always the decode block (row order set by the
-    policy) followed by the prefill items — every pp=1 policy composes
+    Batch item order is the decode block (row order set by the policy)
+    followed by the prefill items — every built-in policy composes
     batches in that shape, and pricing/commit preserve it so attention
-    summation order matches the object engine's float-for-float.
+    summation order matches the object engine's float-for-float.  A
+    plug-in policy may interleave the two; its batch then carries
+    ``order``, the item order as indices into decodes-then-prefills,
+    and pricing and commit follow it instead.
     """
 
     __slots__ = (
@@ -77,6 +84,7 @@ class VecBatch:
         "num_decode_tokens",
         "num_prefill_seqs",
         "num_decode_seqs",
+        "order",
     )
 
     def __init__(
@@ -87,8 +95,10 @@ class VecBatch:
         p_chunk: list[int],
         p_past: list[int],
         p_is_last: list[bool],
+        order: list[int] | None = None,
     ) -> None:
         self.batch_id = next(_batch_ids)
+        self.order = order
         self.swap_bytes = 0
         self.decode_rows = decode_rows
         self.decode_ctx = decode_ctx
@@ -113,6 +123,14 @@ class VecBatch:
     @property
     def size(self) -> int:
         return len(self.decode_rows) + len(self.p_rows)
+
+    def items(self) -> list[tuple[int, bool, int]]:
+        """``(row, is_prefill, num_tokens)`` per item, in item order."""
+        items = [(row, False, 1) for row in self.decode_rows.tolist()]
+        items.extend(zip(self.p_rows, [True] * len(self.p_rows), self.p_chunk))
+        if self.order is None:
+            return items
+        return [items[i] for i in self.order]
 
 
 # ----------------------------------------------------------------------
@@ -506,6 +524,10 @@ class VecScheduler:
     """
 
     name = "abstract"
+
+    # Fleet admission hook, as on the object base; only the plug-in
+    # adapter sets one.
+    admission_hook = None
 
     _base_budgets = None
     # Brownout budget-clamp hook — byte-for-byte the object base's
@@ -1414,3 +1436,298 @@ class VecChunkedPrefillsOnlyScheduler(_ArrivalSortedMixin):
             return 0
         chunk = min(remaining, leftover)
         return chunk if chunk > 0 else 0
+
+
+# ----------------------------------------------------------------------
+# Plug-in policies (the SchedulingPolicy protocol) over rows
+# ----------------------------------------------------------------------
+class RequestRowView:
+    """Read-only view of one row: the ``Request`` attributes policies read.
+
+    The plug-in adapter hands these to
+    :meth:`~repro.scheduling.policy.SchedulingPolicy.compose_batch` in
+    place of ``Request`` objects.  Identity fields are copied from the
+    row's request; serving state is read live from the arrays.  Any
+    assignment raises, so a policy cannot touch engine state.
+    """
+
+    __slots__ = (
+        "_arrays",
+        "_row",
+        "request_id",
+        "arrival_time",
+        "client_id",
+        "prompt_len",
+        "output_len",
+    )
+
+    def __init__(self, arrays: RequestArrays, row: int) -> None:
+        request = arrays.requests[row]
+        init = object.__setattr__
+        init(self, "_arrays", arrays)
+        init(self, "_row", row)
+        init(self, "request_id", request.request_id)
+        init(self, "arrival_time", request.arrival_time)
+        init(self, "client_id", request.client_id)
+        init(self, "prompt_len", request.prompt_len)
+        init(self, "output_len", request.output_len)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"pool entries are read-only (cannot set {name!r})")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"pool entries are read-only (cannot delete {name!r})")
+
+    @property
+    def prefill_done(self) -> int:
+        return int(self._arrays.prefill_done[self._row])
+
+    @property
+    def remaining_prefill(self) -> int:
+        A, row = self._arrays, self._row
+        return int(A.prefill_target[row] - A.prefill_done[row])
+
+    @property
+    def num_emitted(self) -> int:
+        return int(self._arrays.num_emitted[self._row])
+
+    @property
+    def remaining_output(self) -> int:
+        return self.output_len - self.num_emitted
+
+    @property
+    def context_len(self) -> int:
+        A, row = self._arrays, self._row
+        return int(A.prefill_done[row] + A.decode_steps[row])
+
+    @property
+    def is_prefill_complete(self) -> bool:
+        A, row = self._arrays, self._row
+        return bool(A.prefill_done[row] >= A.prefill_target[row])
+
+    def __repr__(self) -> str:
+        return (
+            f"RequestRowView(request_id={self.request_id}, "
+            f"prefill_done={self.prefill_done}, num_emitted={self.num_emitted})"
+        )
+
+
+class VecPolicyScheduler(VecScheduler):
+    """Port of :class:`repro.scheduling.policy.PolicyScheduler` onto rows.
+
+    The policy composes from a :class:`PoolView` of
+    :class:`RequestRowView` entries (one cached view per row); each
+    directive maps back to its row by request id, and every invariant
+    is enforced in the object adapter's order.  Directives may
+    interleave decodes and prefills, so such a batch carries its item
+    order and commits item by item, as the object engine does.
+    """
+
+    def __init__(
+        self,
+        policy: SchedulingPolicy,
+        arrays: RequestArrays,
+        memory: VecPagedMemory | VecReservationMemory,
+        token_budget: int,
+        max_batch_size: int = DEFAULT_MAX_BATCH_SIZE,
+        preemption_mode: str = "recompute",
+        kv_bytes_per_token: int = 0,
+    ) -> None:
+        super().__init__(
+            arrays,
+            memory,
+            max_batch_size,
+            preemption_mode=preemption_mode,
+            kv_bytes_per_token=kv_bytes_per_token,
+        )
+        if token_budget <= 0:
+            raise ValueError("token_budget must be positive")
+        self.policy = policy
+        self.name = policy.name
+        self.token_budget = token_budget
+        hook = getattr(policy, "admit", None)
+        self.admission_hook = hook if callable(hook) else None
+        self._views: dict[int, RequestRowView] = {}
+
+    def _view(self, row: int) -> RequestRowView:
+        view = self._views.get(row)
+        if view is None:
+            view = self._views[row] = RequestRowView(self.A, row)
+        return view
+
+    def _can_admit(self, entry: RequestRowView) -> bool:
+        return self.memory.can_admit(entry._row)
+
+    # ------------------------------------------------------------------
+    def _pool_view(self, now: float) -> PoolView:
+        A = self.A
+        view = self._view
+        decodes: list[RequestRowView] = []
+        prefills: list[RequestRowView] = []
+        for row in self._schedulable_rows():
+            if A.prefill_done[row] >= A.prefill_target[row]:
+                decodes.append(view(row))
+            else:
+                prefills.append(view(row))
+        return PoolView(
+            now=now,
+            decodes=tuple(decodes),
+            prefills=tuple(prefills),
+            waiting=tuple(view(row) for row in self.waiting),
+            token_budget=self.token_budget,
+            max_batch_size=self.max_batch_size,
+            memory=MemoryView(
+                occupancy=self.memory.occupancy,
+                can_admit=self._can_admit,
+            ),
+        )
+
+    def _build_batch(self, now: float) -> VecBatch | None:
+        pool = self._pool_view(now)
+        directives = self.policy.compose_batch(pool)
+
+        A = self.A
+        name = self.policy.name
+        decode_rows: list[int] = []
+        decode_ctx: list[int] = []
+        p_rows: list[int] = []
+        p_chunk: list[int] = []
+        p_past: list[int] = []
+        p_is_last: list[bool] = []
+        # Item order: a decode's index (>= 0) or -1 - a prefill's index.
+        kinds: list[int] = []
+        tokens_used = 0
+        seen: set[int] = set()
+        offered = {entry.request_id: entry._row for entry in pool.runnable}
+        decodable = {entry.request_id for entry in pool.decodes}
+        running = self._running_set
+        for directive in directives:
+            if len(kinds) >= self.max_batch_size or tokens_used >= self.token_budget:
+                break
+            request_id = directive.request.request_id
+            row = offered.get(request_id)
+            if row is None:
+                raise ValueError(
+                    f"policy {name!r} directed request {request_id}, "
+                    "which is not in its pool view"
+                )
+            if request_id in seen:
+                raise ValueError(
+                    f"policy {name!r} directed request {request_id} "
+                    "twice in one batch"
+                )
+            seen.add(request_id)
+
+            if directive.chunk is None:
+                if request_id not in decodable:
+                    raise ValueError(
+                        f"policy {name!r} decoded request {request_id} "
+                        "before its prefill completed "
+                        "(pass chunk= for prefill work)"
+                    )
+                if row not in running:
+                    continue  # evicted by an earlier directive's preemption
+                if not self._prepare_decode(row):
+                    continue  # no KV room this iteration
+                kinds.append(len(decode_rows))
+                decode_rows.append(row)
+                decode_ctx.append(int(A.prefill_done[row] + A.decode_steps[row]))
+                tokens_used += 1
+                continue
+
+            if A.prefill_done[row] >= A.prefill_target[row]:
+                raise ValueError(
+                    f"policy {name!r} scheduled a prefill chunk for request "
+                    f"{request_id}, which is already decoding "
+                    "(omit chunk= for decode work)"
+                )
+            if row not in running:
+                if row not in self.waiting:
+                    continue  # evicted and re-queued state shifted; skip
+                if not self.memory.can_admit(row):
+                    continue  # KV full; policy may retry next round
+                self.waiting.remove(row)
+                done_before = int(A.prefill_done[row])
+                self.memory.admit(row)
+                # A claimed cached prefix leaves the outstanding-work
+                # gauge, as in _admit_waiting_head.
+                self.outstanding_tokens -= int(A.prefill_done[row]) - done_before
+                self._run_add(row)
+            # Admission may have claimed a cached prefix, shrinking the
+            # remaining prefill — clamp after admission, like Sarathi.
+            remaining = int(A.prefill_target[row] - A.prefill_done[row])
+            chunk = min(directive.chunk, self.token_budget - tokens_used, remaining)
+            if chunk <= 0:
+                continue
+            self._claimed.add(row)
+            kinds.append(-1 - len(p_rows))
+            p_rows.append(row)
+            p_chunk.append(chunk)
+            p_past.append(int(A.prefill_done[row]))
+            p_is_last.append(chunk >= remaining)
+            tokens_used += chunk
+        if not kinds:
+            return None
+        num_decodes = len(decode_rows)
+        order = [k if k >= 0 else num_decodes - 1 - k for k in kinds]
+        return VecBatch(
+            np.array(decode_rows, dtype=np.int64),
+            np.array(decode_ctx, dtype=np.int64),
+            p_rows,
+            p_chunk,
+            p_past,
+            p_is_last,
+            None if order == list(range(len(order))) else order,
+        )
+
+    def on_batch_complete(
+        self, batch: VecBatch, now: float
+    ) -> tuple[list[int], list[int]]:
+        if batch.order is None:
+            return super().on_batch_complete(batch, now)
+        # Interleaved batch: commit item by item, so finished rows are
+        # freed (and reported) in the object engine's item order.
+        A = self.A
+        if self._in_flight:
+            self._in_flight.difference_update(batch.decode_rows.tolist())
+            self._in_flight.difference_update(batch.p_rows)
+            self._run_version += 1
+        finished: list[int] = []
+        prefill_emits: list[int] = []
+        for row, is_prefill, num_tokens in batch.items():
+            if is_prefill:
+                A.prefill_done[row] += num_tokens
+                self.outstanding_tokens -= num_tokens
+                if A.prefill_done[row] < A.prefill_target[row]:
+                    continue
+                A.phase[row] = PH_DECODE
+                self._run_version += 1
+                if A.num_emitted[row] == 0:
+                    A.num_emitted[row] = 1
+                    A.prev_emit[row] = A.last_emit[row]
+                    A.last_emit[row] = now
+                    if math.isnan(A.first_token_at[row]):
+                        A.first_token_at[row] = now
+                    self.outstanding_tokens -= 1
+                    prefill_emits.append(row)
+            else:
+                A.decode_steps[row] += 1
+                A.num_emitted[row] += 1
+                A.prev_emit[row] = A.last_emit[row]
+                A.last_emit[row] = now
+                self.outstanding_tokens -= 1
+            if A.num_emitted[row] >= A.output_len[row]:
+                A.phase[row] = PH_FINISHED
+                A.finished_at[row] = now
+                self.memory.free(row)
+                self._run_remove(row)
+                finished.append(row)
+                self.num_pending -= 1
+        return finished, prefill_emits
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging nicety
+        return (
+            f"VecPolicyScheduler(policy={self.policy.name!r}, "
+            f"token_budget={self.token_budget}, "
+            f"max_batch_size={self.max_batch_size})"
+        )

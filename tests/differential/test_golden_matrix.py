@@ -38,9 +38,9 @@ from tests.differential.conftest import (
 
 pytestmark = pytest.mark.tier1
 
-# The vectorized core supports every built-in scheduler, including the
-# dynamic-budget Sarathi variant; only policy-protocol plug-ins stay
-# object-only.
+# The vectorized core supports every registered scheduler, including
+# the dynamic-budget Sarathi variant; plug-in policies have their own
+# cells in test_plugin_policies.py.
 PR_SCHEDULERS = [
     "sarathi",
     "sarathi_dynamic",
@@ -179,23 +179,23 @@ def test_pipeline_preemption_pressure(tiny_pp_deployment, kind):
     assert_results_identical(obj, vec)
 
 
-def test_policy_scheduler_rejected_by_vectorized_names_capable(tiny_deployment):
-    """Object-only schedulers fail loudly and name the vectorized ones."""
+def test_policy_scheduler_runs_on_vectorized(tiny_deployment):
+    """A freshly registered policy builds on the vectorized engine (the
+    default) and matches its object-engine run bit-for-bit."""
     from repro.scheduling import registry as sched_registry
     from repro.scheduling.theory import SRPTOraclePolicy
 
     sched_registry.register_policy(
-        "test_object_only", lambda ctx: SRPTOraclePolicy()
+        "test_late_policy", lambda ctx: SRPTOraclePolicy()
     )
     try:
-        config = ServingConfig(scheduler="test_object_only", engine="vectorized")
-        with pytest.raises(ValueError) as err:
-            build_engine(tiny_deployment, config)
-        for name in sched_registry.vectorized_names():
-            assert name in str(err.value)
-        assert "sarathi_dynamic" in str(err.value)
+        config = _config("test_late_policy")
+        assert build_engine(tiny_deployment, config).kind == "vectorized"
+        trace = WORKLOADS["decode_heavy"](14, 0)
+        obj, vec = run_engine_pair(tiny_deployment, config, trace)
+        assert_results_identical(obj, vec)
     finally:
-        sched_registry.unregister("test_object_only")
+        sched_registry.unregister("test_late_policy")
 
 
 # ----------------------------------------------------------------------

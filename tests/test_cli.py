@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import functools
+
 import pytest
 
+from repro import cli
+from repro.api import ServingConfig
 from repro.cli import build_parser, main
 
 
@@ -58,7 +62,6 @@ class TestCommands:
         assert main(["schedulers"]) == 0
         out = capsys.readouterr().out
         assert "srpt_oracle" in out
-        assert "object+vectorized" in out  # engine-support column
         assert "reservation" in out        # memory-family column
 
     def test_budget(self, capsys):
@@ -71,12 +74,44 @@ class TestCommands:
         assert main(["budget", "--model", "tiny-1b", "--profile"]) == 0
         assert "budget profile" in capsys.readouterr().out
 
-    def test_simulate_reports_cache_stats(self, capsys):
+    def test_simulate_reports_cache_stats(self, capsys, monkeypatch):
+        """The perf-cache line appears only when the memo tiers were
+        consulted: the vectorized engine (the default) prices from the
+        model's shared tables, the object engine through the tiers."""
         base = ["simulate", "--model", "tiny-1b", "--qps", "4", "--requests", "8"]
         assert main(base) == 0
-        assert "perf cache" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "engine:     vectorized" in out
+        assert "perf cache" not in out
+        monkeypatch.setattr(
+            cli, "ServingConfig", functools.partial(ServingConfig, engine="object")
+        )
+        assert main(base) == 0
+        out = capsys.readouterr().out
+        assert "engine:     object" in out
+        assert "perf cache" in out
         assert main(base + ["--no-perf-cache"]) == 0
         assert "perf cache" not in capsys.readouterr().out
+
+    def test_simulate_dynamic_reports_consulted_cache(self, capsys):
+        """sarathi_dynamic derives its SLO through the cached model, so
+        even a vectorized run reports the lookups it made."""
+        code = main([
+            "simulate", "--model", "tiny-1b", "--qps", "4", "--requests", "8",
+            "--scheduler", "sarathi_dynamic",
+        ])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "engine:     vectorized" in out
+        assert "perf cache" in out
+
+    def test_fleet_default_path(self, capsys):
+        """No --fault-domains: independent per-replica faults."""
+        code = main(["fleet", "--model", "tiny-1b", "--requests", "20"])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "finished / offered      20 / 20" in out
+        assert "faults:     0 scheduled" in out
 
     def test_simulate_small_run(self, capsys):
         code = main(

@@ -47,8 +47,12 @@ def snapshots(fingerprint: str = FP):
 
 
 def warmed_model(deployment: Deployment) -> CachedExecutionModel:
-    """A cached model populated by an actual simulation."""
-    config = ServingConfig(token_budget=256)
+    """A cached model populated by an actual simulation.
+
+    The object engine prices through the memo tiers (the vectorized
+    engine reads the model's shared pricing tables instead).
+    """
+    config = ServingConfig(token_budget=256, engine="object")
     model = execution_model_for(deployment, config)
     trace = generate_requests(SHAREGPT4, num_requests=8, qps=1.0, seed=3)
     simulate(deployment, config, trace, exec_model=model)

@@ -258,7 +258,8 @@ class TestReplicaEnginePipeline:
     def test_request_never_in_two_inflight_batches(self, tiny_pp_deployment):
         """Iteration-level scheduling invariant under PP."""
         requests = [make_request(prompt_len=256, output_len=12) for _ in range(6)]
-        engine = build_engine(tiny_pp_deployment, ServingConfig())
+        # Reads object batches (batch.items).
+        engine = build_engine(tiny_pp_deployment, ServingConfig(engine="object"))
 
         live: dict[int, set[int]] = {}
         original_schedule = engine.scheduler.schedule

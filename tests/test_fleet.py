@@ -141,7 +141,8 @@ class TestStaticPartitionGolden:
                 assert our_req.finished_at == ref_req.finished_at
 
     def test_fleet_accepts_max_time_and_exec_model(self, tiny_deployment):
-        config = ServingConfig()
+        # The object engine prices through the memo tiers checked below.
+        config = ServingConfig(engine="object")
         exec_model = execution_model_for(tiny_deployment, config)
         result, _ = simulate_fleet(
             tiny_deployment,

@@ -141,7 +141,8 @@ class TestMemoryPressure:
         from repro.api import build_engine, clone_requests
 
         deployment = Deployment(model=MISTRAL_7B, gpu=A100_80G)
-        config = ServingConfig(scheduler="vllm")
+        # Object engine: the memory swap below builds an object manager.
+        config = ServingConfig(scheduler="vllm", engine="object")
         engine = build_engine(deployment, config)
         # Shrink memory drastically to force preemption.
         engine.scheduler.memory = type(engine.scheduler.memory)(

@@ -235,7 +235,8 @@ class TestThreading:
         assert model.max_entries == 17
 
     def test_shared_model_accumulates_across_runs(self, tiny_deployment):
-        config = ServingConfig(token_budget=256)
+        # The object engine prices through the memo tiers.
+        config = ServingConfig(token_budget=256, engine="object")
         model = execution_model_for(tiny_deployment, config)
         trace = generate_requests(SHAREGPT4, num_requests=8, qps=1.0, seed=2)
         simulate(tiny_deployment, config, trace, exec_model=model)
@@ -274,7 +275,8 @@ class TestThreading:
 
     def test_dynamic_scheduler_shares_engine_model(self, tiny_deployment):
         engine = build_engine(
-            tiny_deployment, ServingConfig(scheduler="sarathi_dynamic")
+            tiny_deployment,
+            ServingConfig(scheduler="sarathi_dynamic", engine="object"),
         )
         works = [TokenWork.decode(128)]
         engine.scheduler.iteration_cost(works)

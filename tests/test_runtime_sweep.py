@@ -9,10 +9,13 @@ both ways and compared exactly.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.api import Deployment, ServingConfig
 from repro.cluster.fleet import FleetConfig, FleetSimulator
+from repro.experiments import capacity_runner
 from repro.experiments.capacity_runner import (
     CapacityCellSpec,
     plan_waves,
@@ -282,14 +285,25 @@ class TestWavePlanning:
 class TestGridBitIdentity:
     """The golden test: the smoke grid, serial vs parallel vs warm."""
 
-    def test_parallel_and_warm_runs_identical(self, tmp_path, serial_outcomes):
+    def test_parallel_and_warm_runs_identical(
+        self, tmp_path, serial_outcomes, monkeypatch
+    ):
         specs = tiny_grid_specs()
         serial = serial_outcomes
 
         parallel = run_capacity_cells(specs, jobs=2)
         assert [o.cell for o in parallel] == [o.cell for o in serial]
 
-        # Cold disk-cached run, then a fully-warm rerun: same cells.
+        # Cold disk-cached run, then a fully-warm rerun: same cells.  The
+        # disk cache persists the memo tiers, which only the object
+        # engine prices through, so these two in-process legs run on it.
+        monkeypatch.setattr(
+            capacity_runner,
+            "serving_config_for",
+            lambda *args, **kwargs: dataclasses.replace(
+                serving_config_for(*args, **kwargs), engine="object"
+            ),
+        )
         clear_process_models()
         cold = run_capacity_cells(specs, jobs=1, cache_dir=tmp_path)
         assert [o.cell for o in cold] == [o.cell for o in serial]

@@ -81,7 +81,7 @@ class TestToyPolicySimulate:
     def test_registers_and_resolves(self, toy_registered):
         assert toy_registered in registered_names()
         spec = resolve(toy_registered)
-        assert not spec.supports_vectorized
+        assert spec.build_vectorized is not None
 
     def test_runs_through_simulate(self, tiny_deployment, toy_registered):
         trace = [
@@ -149,11 +149,38 @@ class TestToyPolicyFleet:
         assert result.num_shed == 0
         assert not result.merged().unfinished
 
-    def test_vectorized_engine_fails_loudly(self, tiny_deployment, toy_registered):
+    def test_vectorized_engine_runs_plugin(self, tiny_deployment, toy_registered):
         from repro.api import build_vectorized_scheduler
+        from repro.scheduling.vectorized import VecPolicyScheduler
 
-        with pytest.raises(ValueError, match="vectorized engine does not support"):
-            build_vectorized_scheduler(
-                tiny_deployment,
-                ServingConfig(scheduler=toy_registered, engine="vectorized"),
+        config = ServingConfig(scheduler=toy_registered)
+        assert config.engine == "vectorized"
+        core = build_vectorized_scheduler(tiny_deployment, config)
+        assert isinstance(core, VecPolicyScheduler)
+        assert core.name == "toy-shortest-prompt"
+        assert core.admission_hook is not None
+
+
+class TestTheoryLeaderboard:
+    def test_srpt_oracle_beats_sarathi_at_saturation(self):
+        """The two-policy mini-leaderboard: SRPT with oracle lengths has
+        a lower mean latency than Sarathi at the saturating static load,
+        and every static cell finishes all of its requests."""
+        from repro.experiments.common import SMOKE
+        from repro.experiments.leaderboard import run_leaderboard
+
+        rows = run_leaderboard(
+            SMOKE, schedulers=("sarathi", "srpt_oracle"), include_capacity=False
+        )
+        static = {
+            r.cell.scheduler: r.cell for r in rows if r.cell.workload == "static"
+        }
+        oracle, sarathi = static["srpt_oracle"], static["sarathi"]
+        assert oracle.mean_latency < sarathi.mean_latency, (
+            f"SRPT oracle ({oracle.mean_latency:.3f}s) did not beat "
+            f"Sarathi ({sarathi.mean_latency:.3f}s) at saturation"
+        )
+        for cell in static.values():
+            assert cell.num_finished == cell.num_offered, (
+                f"{cell.scheduler}: unfinished requests in the static cell"
             )

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.api import ServingConfig, build_scheduler
+from repro.api import ServingConfig, build_scheduler, simulate
 from repro.core.sarathi import SarathiScheduler
 from repro.scheduling.registry import (
     SchedulerSpec,
@@ -21,7 +21,7 @@ from repro.scheduling.registry import (
     resolve,
     unregister,
 )
-from tests.conftest import BUILTIN_SCHEDULERS
+from tests.conftest import BUILTIN_SCHEDULERS, make_request
 
 THEORY_NAMES = ("srpt_oracle", "srpt_predicted", "fcfs_aging")
 
@@ -50,6 +50,7 @@ class TestRegistrationGuards:
         return SchedulerSpec(
             name=name,
             build=lambda ctx: (_ for _ in ()).throw(NotImplementedError),
+            build_vectorized=lambda ctx: (_ for _ in ()).throw(NotImplementedError),
             description="guard-rail test spec",
         )
 
@@ -76,6 +77,7 @@ class TestRegistrationGuards:
             SchedulerSpec(
                 name="bad_family",
                 build=lambda ctx: None,
+                build_vectorized=lambda ctx: None,
                 memory_family="slab",
             )
 
@@ -97,6 +99,7 @@ class TestServingConfigBoundary:
         register(SchedulerSpec(
             name="late_plugin",
             build=resolve("sarathi").build,
+            build_vectorized=resolve("sarathi").build_vectorized,
             description="late registration test spec",
         ))
         try:
@@ -105,3 +108,23 @@ class TestServingConfigBoundary:
             )
         finally:
             unregister("late_plugin")
+
+
+class TestOneRuntimeEngine:
+    def test_default_engine_ignores_environment(self, monkeypatch):
+        monkeypatch.setenv("REPRO_ENGINE", "object")
+        assert ServingConfig().engine == "vectorized"
+
+    def test_every_registered_name_simulates_on_default_engine(
+        self, tiny_deployment
+    ):
+        trace = [
+            make_request(prompt_len=48 + 16 * (i % 4), output_len=6, arrival_time=0.05 * i)
+            for i in range(8)
+        ]
+        for name in registered_names():
+            result, _ = simulate(
+                tiny_deployment, ServingConfig(scheduler=name, token_budget=256), trace
+            )
+            assert result.engine_stats.kind == "vectorized", name
+            assert not result.unfinished, name

@@ -117,8 +117,9 @@ class TestSwapLifecycle:
 
 class TestEngineChargesSwapTime:
     def test_swap_traffic_extends_iterations(self, tiny_deployment):
+        # Object engine: the memory swap below builds an object manager.
         config = ServingConfig(
-            scheduler="vllm", preemption_mode="swap"
+            scheduler="vllm", preemption_mode="swap", engine="object"
         )
         engine = build_engine(tiny_deployment, config)
         # Shrink memory to force swapping.
@@ -139,7 +140,9 @@ class TestEngineChargesSwapTime:
         """Every swap-out is matched by a swap-in, and swapping adds no
         re-prefill work: total recorded prefill equals the requests'
         prefill targets (which only self-preemption recomputes grow)."""
-        config = ServingConfig(scheduler="vllm", preemption_mode="swap")
+        config = ServingConfig(
+            scheduler="vllm", preemption_mode="swap", engine="object"
+        )
         engine = build_engine(tiny_deployment, config)
         engine.scheduler.memory = PagedBlockManager(
             4096, block_size=16, watermark=0.0

@@ -84,10 +84,15 @@ class TestCounters:
         counters = run_counters(small_result)
         assert 0 <= counters["num_hybrid_iterations"] <= counters["num_iterations"]
 
-    def test_cache_counters_present_for_cached_run(self, small_result):
-        # The default config memoizes the execution model, so the run's
-        # counters carry real hit/miss numbers.
-        counters = run_counters(small_result)
+    def test_cache_counters_present_for_cached_run(self, tiny_deployment):
+        # The object engine prices through the memoized execution model,
+        # so the run's counters carry real hit/miss numbers.
+        trace = [
+            make_request(prompt_len=200, output_len=6, arrival_time=0.05 * i)
+            for i in range(8)
+        ]
+        config = ServingConfig(token_budget=128, engine="object")
+        counters = run_counters(build_engine(tiny_deployment, config).run(trace))
         assert counters["cache_misses"] > 0
         assert counters["cache_size"] > 0
         assert 0.0 <= counters["cache_hit_rate"] <= 1.0
